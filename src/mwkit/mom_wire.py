@@ -5,6 +5,15 @@ fields from the solved current.
 
 Expansion currents live on the wire surface (rho = a); testing happens on the
 axis (rho = 0), which keeps the kernel regular without self-term extraction.
+This reduced kernel holds while the segment length delta is at least the
+radius a; for delta < a the discrete equation has no limit and the currents
+oscillate, so WireProblem warns there.
+
+Testing and source segments share the length delta, and the convolution of
+two boxes of width delta is a triangle, so each Toeplitz entry is exactly one
+integral with a triangle weight (collocation: a box of half the width):
+
+    Z_k = delta^2 Int_{-1}^{1} K((k + t) delta) (1 - |t|) dt.
 """
 
 from __future__ import annotations
@@ -17,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (C0, ETA0, DomainError, ConvergenceError, QuadratureSpec,
-                       integrate_adaptive, solve_complex_dense)
+                       integrate_gk15, solve_complex_dense)
+from .numerics import integrate_adaptive  # noqa: F401  (bench/harness.py wraps it by this name)
 from .radiator import FarFieldSample
 
 
@@ -32,8 +42,10 @@ class WireProblem:
     collocation: bool = False  # True: 1-point testing instead of sub-domain integration
 
     def __post_init__(self):
-        if self.half_length_l <= 0 or self.radius_a <= 0 or self.freq <= 0:
-            raise DomainError("dimensions and frequency must be > 0")
+        for name in ("freq", "half_length_l", "radius_a"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
         if self.n_segments < 3 or self.n_segments % 2 == 0:
             raise DomainError("n_segments must be odd and >= 3 so a segment "
                               "center sits at the feed (z = 0)")
@@ -41,6 +53,11 @@ class WireProblem:
         if 2 * self.radius_a > lam / 100.0:
             warnings.warn("thin-wire kernel assumes diameter < lambda0/100",
                           stacklevel=2)
+        delta = 2 * self.half_length_l / self.n_segments
+        if delta < self.radius_a:
+            warnings.warn(f"segment length {delta:.4g} is below the wire radius "
+                          f"{self.radius_a:.4g}: the reduced kernel breaks down "
+                          "and the currents oscillate", stacklevel=2)
 
     @property
     def wavelength(self) -> float:
@@ -94,41 +111,46 @@ def _kernel(u: np.ndarray, a: float, k0: float) -> np.ndarray:
         ((1 + 1j * k0 * r) * (2 * r * r - 3 * a * a) + (k0 * a * r) ** 2) / r**5
 
 
-def _entry(problem: WireProblem, mesh: WireMesh, offset: int,
-           spec: QuadratureSpec) -> complex:
-    """One Toeplitz entry Z_{m,n} for |m - n| = offset."""
-    d = mesh.delta
-    a, k0 = problem.radius_a, problem.k0
-    zc = offset * d  # test-center to source-center distance
-
-    def source_integral(z_test: float) -> complex:
-        lo = zc - 0.5 * d - z_test
-        hi = zc + 0.5 * d - z_test
-        val, _ = integrate_adaptive(lambda u: _kernel(np.asarray(u), a, k0),
-                                    lo, hi, spec)
-        return val
-
-    if problem.collocation:
-        return source_integral(0.0) * d
-    val, _ = integrate_adaptive(source_integral, -0.5 * d, 0.5 * d, spec)
-    return val
-
-
 def fill_impedance_matrix(problem: WireProblem, mesh: WireMesh,
                           spec: QuadratureSpec | None = None) -> np.ndarray:
-    """Symmetric Toeplitz MoM matrix; only the first row is computed."""
+    """Symmetric Toeplitz MoM matrix; only the first row is computed.
+
+    Testing and source segments share the length delta, and the convolution
+    of the two boxes is a triangle, so the double integral of each entry is
+    exactly one integral over the offset t (in segments), u = (k + t) delta:
+
+        Z_k = delta^2 Int_{-1}^{1} K((k + t) delta) (1 - |t|) dt,  k = |m - n|.
+
+    Collocation (testing at the segment center) is the same integral over
+    t in [-1/2, 1/2] with weight 1. One batched adaptive GK15 rule integrates
+    all offsets at once: the peaked offsets {0, 1} apart from the smooth
+    2..N-1, each interval split at t = 0. The tolerances of ``spec`` apply to
+    the entries Z_k.
+
+    The reduced kernel holds for delta >= a; below that the currents
+    oscillate, and WireProblem warns.
+    """
     if spec is None:
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=2000)
     n = problem.n_segments
+    d = mesh.delta
+    a, k0 = problem.radius_a, problem.k0
+    half = 0.5 if problem.collocation else 1.0
     row = np.empty(n, dtype=complex)
-    for off in range(n):
+    for offsets in (np.arange(2), np.arange(2, n)):  # n >= 3
+        def integrand(t, offsets=offsets):
+            w = 1.0 if problem.collocation else (1.0 - np.abs(t))[:, None]
+            return (d * d) * w * _kernel(d * (offsets + t[:, None]), a, k0)
+
         try:
-            row[off] = _entry(problem, mesh, off, spec)
+            row[offsets], _ = integrate_gk15(integrand, (-half, 0.0, half), spec)
         except ConvergenceError as exc:
+            worst = int(np.argmax(exc.error))
+            off = int(offsets[worst])
             raise ConvergenceError(
                 f"matrix fill failed to converge at offset {off} "
                 f"(entries (m, n) with |m-n| = {off})",
-                estimate=exc.estimate, error=exc.error) from exc
+                estimate=exc.estimate[worst], error=exc.error[worst]) from exc
     idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     return row[idx]
 

@@ -276,58 +276,85 @@ _WG = np.array([
 ])
 
 
+_NODES = np.concatenate([-_XGK, _XGK[6::-1]])   # 15 nodes in ascending order
+_KRONROD = np.concatenate([_WGK, _WGK[6::-1]])
+_GAUSS = np.zeros(15)
+_GAUSS[1:15:2] = np.concatenate([_WG, _WG[2::-1]])
+
+
 def _gk15(f, a, b):
-    """One Gauss-Kronrod 15(7) panel: returns (kronrod, error_estimate)."""
+    """One Gauss-Kronrod 15(7) panel on [a, b] with a single call of f on all
+    15 nodes. Returns the Kronrod value and |Kronrod - Gauss| as (m,) arrays,
+    the largest of those errors, and the trailing shape of f's values."""
     h = 0.5 * (b - a)
-    c = 0.5 * (a + b)
-    fc = f(c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        resk = resk + _WGK[i] * (f1 + f2)
-        if i % 2 == 1:
-            resg = resg + _WG[i // 2] * (f1 + f2)
-    resk *= h
-    resg *= h
-    return resk, abs(resk - resg)
+    fx = np.asarray(f(0.5 * (a + b) + h * _NODES))
+    flat = fx.reshape(15, -1)
+    resk = h * (_KRONROD @ flat)
+    err = np.abs(resk - h * (_GAUSS @ flat))
+    return resk, err, err.max(), fx.shape[1:]
+
+
+def integrate_gk15(f, breaks, spec: QuadratureSpec | None = None):
+    """Globally adaptive GK15 quadrature of a batched integrand over the
+    panels between ascending ``breaks``.
+
+    ``f`` maps the 15 nodes of a panel, an array of shape (15,), to values of
+    shape (15,) or (15, m), real or complex. The panel with the largest error
+    (max-norm over the m components) is bisected until the max-norm of the
+    summed error estimate is within ``max(abs_tol, rel_tol * max|value|)``.
+    Returns (value, error_estimate), each a scalar or an (m,) array. Raises
+    ConvergenceError carrying both when the subdivision budget is exhausted.
+    """
+    if spec is None:
+        spec = QuadratureSpec()
+    breaks = [float(x) for x in breaks]
+    if len(breaks) < 2 or not all(lo < hi for lo, hi in zip(breaks, breaks[1:])):
+        raise DomainError("quadrature breakpoints must be strictly ascending")
+
+    heap = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        val, err, emax, shape = _gk15(f, lo, hi)
+        heap.append((-emax, lo, hi, val, err))
+    heapq.heapify(heap)
+    total = sum(p[3] for p in heap)
+    total_err = sum(p[4] for p in heap)
+
+    def converged():
+        return total_err.max() <= max(spec.abs_tol, spec.rel_tol * np.abs(total).max())
+
+    for _ in range(spec.max_subdivisions):
+        if converged():
+            break
+        _, lo, hi, v_old, e_old = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        v1, e1, m1, _ = _gk15(f, lo, mid)
+        v2, e2, m2, _ = _gk15(f, mid, hi)
+        total = total - v_old + v1 + v2
+        total_err = total_err - e_old + e1 + e2
+        heapq.heappush(heap, (-m1, lo, mid, v1, e1))
+        heapq.heappush(heap, (-m2, mid, hi, v2, e2))
+
+    def unflat(x):  # (m,) arrays back to the shape of f's values
+        return x.reshape(shape)[()]
+
+    if not converged():
+        raise ConvergenceError(
+            f"quadrature budget of {spec.max_subdivisions} subdivisions exhausted "
+            f"(estimate {unflat(total)}, error {total_err.max():.3e})",
+            estimate=unflat(total), error=unflat(total_err),
+        )
+    # re-add the panels so that the running update's rounding is dropped
+    return unflat(sum(p[3] for p in heap)), unflat(total_err)
 
 
 def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec | None = None):
-    """Globally adaptive GK15 quadrature of a real- or complex-valued f.
+    """Globally adaptive GK15 quadrature of a real- or complex-valued scalar
+    callback f(x), evaluated node by node through ``integrate_gk15``.
 
     Returns (value, error_estimate). Raises ConvergenceError (carrying the
     best estimate) when the subdivision budget is exhausted.
     """
-    if spec is None:
-        spec = QuadratureSpec()
-    if not (a < b):
-        raise DomainError("integrate_adaptive requires a < b")
-
-    val, err = _gk15(f, a, b)
-    heap = [(-err, a, b, val, err)]
-    total = val
-    total_err = err
-    for _ in range(spec.max_subdivisions):
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-            return total, total_err
-        _, lo, hi, v_old, e_old = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
-        total = total - v_old + v1 + v2
-        total_err = total_err - e_old + e1 + e2
-        heapq.heappush(heap, (-e1, lo, mid, v1, e1))
-        heapq.heappush(heap, (-e2, mid, hi, v2, e2))
-    if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total)):
-        return total, total_err
-    raise ConvergenceError(
-        f"quadrature budget of {spec.max_subdivisions} subdivisions exhausted "
-        f"(estimate {total}, error {total_err:.3e})",
-        estimate=total, error=total_err,
-    )
+    return integrate_gk15(lambda x: [f(xi) for xi in x.tolist()], (a, b), spec)
 
 
 # ---------------------------------------------------------------------------

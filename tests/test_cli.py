@@ -92,6 +92,18 @@ class TestExitCodes:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("flag, value, field", [("--freq-hz", "nan", "freq"),
+                                                    ("--radius-wl", "inf", "radius_a")])
+    def test_mom_solve_rejects_non_finite(self, capsys, flag, value, field):
+        args = {"--half-length-wl": "0.25", "--radius-wl": "0.001",
+                "--freq-hz": "299792458"}
+        args[flag] = value
+        argv = [x for kv in args.items() for x in kv]
+        code, out, err = run(capsys, "mom", "solve", *argv, "--segments", "21")
+        assert code == 1
+        assert out == ""
+        assert field in err
+
     def test_messages_to_stderr_only(self, tmp_path, capsys):
         bad = tmp_path / "nope.s2p"
         code, out, err = run(capsys, "net", "convert", "--in", str(bad), "--to", "z")

@@ -6,7 +6,7 @@ import pytest
 
 from mwkit import mom_wire as mom
 from mwkit import radiator as rad
-from mwkit.numerics import C0, DomainError
+from mwkit.numerics import C0, ConvergenceError, DomainError, QuadratureSpec
 
 F0 = C0  # lambda0 = 1 m
 
@@ -37,6 +37,29 @@ class TestMesh:
         with pytest.warns(UserWarning, match="diameter"):
             make_problem(radius_a=0.02)
 
+    @pytest.mark.parametrize("name", ["half_length_l", "radius_a", "freq"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            make_problem(**{name: value})
+
+
+class TestSegmentBelowRadius:
+    """The reduced kernel breaks down once the segment length drops below the
+    wire radius: a half-wave wire with a = 0.001 lambda at N = 1281 has
+    delta / a = 0.39 and its currents oscillate."""
+
+    def test_delta_below_radius_warns(self):
+        with pytest.warns(UserWarning, match="below the wire radius"):
+            p = make_problem(n_segments=1281)
+        assert np.isfinite(mom.solve_currents(p).z_in)
+
+    def test_delta_above_radius_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = mom.solve_currents(make_problem(n_segments=321))
+        assert np.isfinite(sol.z_in)
+
 
 class TestMatrix:
     def test_symmetric_toeplitz_exact(self):
@@ -52,6 +75,43 @@ class TestMatrix:
         z = mom.fill_impedance_matrix(p, mom.segment_wire(p))
         assert abs(z[0, 0]) > abs(z[0, 2])
         assert abs(z[0, 0]) > abs(z[0, 5])
+
+    @pytest.mark.parametrize("collocation", [False, True])
+    def test_entries_match_nested_box_integral(self, collocation):
+        # oracle: the box-box double integral of the definition, by nested
+        # scipy quad, split at the kernel peak u = 0 where it lies inside
+        from scipy import integrate
+
+        p = make_problem(n_segments=11, collocation=collocation)
+        mesh = mom.segment_wire(p)
+        d, a, k0 = mesh.delta, p.radius_a, p.k0
+        row = mom.fill_impedance_matrix(p, mesh)[0]
+
+        def source_integral(lo, hi):
+            val, _ = integrate.quad(lambda u: mom._kernel(u, a, k0), lo, hi,
+                                    points=[0.0] if lo < 0.0 < hi else None,
+                                    complex_func=True, epsabs=0.0, epsrel=1e-11,
+                                    limit=200)
+            return val
+
+        for k in (0, 1, 2, 5, 10):
+            zc = k * d
+            if collocation:
+                oracle = d * source_integral(zc - 0.5 * d, zc + 0.5 * d)
+            else:
+                oracle, _ = integrate.quad(
+                    lambda z: source_integral(zc - 0.5 * d - z, zc + 0.5 * d - z),
+                    -0.5 * d, 0.5 * d, complex_func=True, epsabs=0.0,
+                    epsrel=1e-11, limit=200)
+            assert abs(row[k] - oracle) <= 1e-9 * abs(oracle), k
+
+    def test_budget_exhaustion_names_offset(self):
+        p = make_problem(n_segments=11)
+        with pytest.raises(ConvergenceError, match=r"offset \d+") as exc:
+            mom.fill_impedance_matrix(p, mom.segment_wire(p),
+                                      QuadratureSpec(max_subdivisions=1))
+        assert np.isfinite(exc.value.estimate)
+        assert np.isfinite(exc.value.error)
 
     def test_refinement_consistency(self):
         # per-segment self-term scales consistently when N doubles (roughly

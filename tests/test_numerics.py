@@ -141,6 +141,48 @@ class TestQuadrature:
     def test_invalid_interval(self):
         with pytest.raises(nm.DomainError):
             nm.integrate_adaptive(lambda t: 1.0, 1.0, 1.0)
+        with pytest.raises(nm.DomainError):
+            nm.integrate_adaptive(lambda t: 1.0, 0.0, math.nan)
+
+
+class TestBatchedQuadrature:
+    def test_vector_matches_scalar_components(self):
+        freqs = np.array([1.0, 3.0, 7.0])
+        val, err = nm.integrate_gk15(lambda t: np.exp(1j * np.outer(t, freqs)),
+                                     (0.0, 2.0))
+        assert val.shape == err.shape == (3,)
+        for w, v in zip(freqs, val):
+            ref, _ = nm.integrate_adaptive(lambda t: np.exp(1j * w * t), 0.0, 2.0)
+            assert v == pytest.approx(ref, abs=1e-12)
+            assert v == pytest.approx((np.exp(2j * w) - 1) / (1j * w), abs=1e-12)
+
+    def test_one_call_per_panel(self):
+        shapes = []
+
+        def f(t):
+            shapes.append(t.shape)
+            return t * t
+
+        val, _ = nm.integrate_gk15(f, (0.0, 0.5, 1.0))
+        assert val == pytest.approx(1 / 3, abs=1e-15)
+        assert shapes == [(15,), (15,)]
+
+    def test_breakpoint_kink_integrated_exactly(self):
+        val, _ = nm.integrate_gk15(lambda t: 1.0 - np.abs(t), (-1.0, 0.0, 1.0))
+        assert val == pytest.approx(1.0, abs=1e-15)
+
+    def test_budget_exhaustion_carries_vector_estimate(self):
+        spec = nm.QuadratureSpec(abs_tol=1e-300, rel_tol=1e-300, max_subdivisions=3)
+        with pytest.raises(nm.ConvergenceError) as exc:
+            nm.integrate_gk15(lambda t: np.sin(np.outer(t, [10.0, 50.0])) ** 2,
+                              (0.0, 10.0), spec)
+        assert exc.value.estimate.shape == exc.value.error.shape == (2,)
+        assert np.all(exc.value.error > 0)
+
+    @pytest.mark.parametrize("breaks", [(1.0,), (0.0, 0.0), (1.0, 0.0), (0.0, math.nan)])
+    def test_invalid_breaks(self, breaks):
+        with pytest.raises(nm.DomainError):
+            nm.integrate_gk15(lambda t: t, breaks)
 
 
 class TestSolveComplexDense:
