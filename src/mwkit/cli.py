@@ -3,6 +3,9 @@ key=value config files and CSV/JSON output artifacts.
 
 Angles cross this boundary in degrees; the library works in radians. Output
 is deterministic: identical inputs (and seeds) give byte-identical files.
+MoM output bytes also do not depend on the BLAS thread count: the wire solve
+runs Levinson recursion, and the threaded LU only takes over for a system
+that fails Levinson's backward-error gate.
 """
 
 from __future__ import annotations

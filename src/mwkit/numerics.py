@@ -1,5 +1,5 @@
 """Self-contained numerical kernels: Bessel J_n, cosine integral, adaptive
-quadrature and dense complex linear solves.
+quadrature and complex linear solves (dense LU, symmetric Toeplitz).
 
 Sign conventions used throughout the package are fixed here: time factor
 e^{+j omega t}, forward wave e^{-j beta z}, theta measured from the +z axis.
@@ -362,7 +362,11 @@ def integrate_adaptive(f, a: float, b: float, spec: QuadratureSpec | None = None
 # ---------------------------------------------------------------------------
 
 def solve_complex_dense(a, b):
-    """Solve A x = b for dense complex A using LU with partial pivoting."""
+    """Solve A x = b for dense complex A using LU with partial pivoting.
+
+    The LU runs in the threaded BLAS, whose summation order follows the
+    thread count, so the last digits of x depend on OPENBLAS_NUM_THREADS.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -378,6 +382,44 @@ def solve_complex_dense(a, b):
         raise SingularMatrixError(
             f"matrix singular to working precision at pivot {idx}", pivot_index=idx)
     return _sla.lu_solve((lu, piv), b, check_finite=False)
+
+
+def solve_symmetric_toeplitz(row, b):
+    """Solve T x = b for the complex-symmetric Toeplitz T whose first row and
+    first column are both ``row``, without forming T.
+
+    Levinson recursion (Golub & Van Loan, Matrix Computations, sec. 4.7)
+    takes O(N^2) operations, uses no BLAS and gives the same bytes at any
+    thread count. It does not pivot, so the result is accepted only when its
+    normwise backward error
+
+        ||T x - b||_inf / (||T||_inf ||x||_inf + ||b||_inf) <= N * 1e3 * eps,
+
+    with T x computed as a convolution with the row. When the recursion hits
+    a singular leading minor, returns non-finite values or fails that gate,
+    the expanded T goes to solve_complex_dense, whose SingularMatrixError
+    names the failing pivot.
+    """
+    row = np.asarray(row, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if row.ndim != 1 or row.size == 0 or b.shape != row.shape:
+        raise DomainError("row and right-hand side must be non-empty 1-D arrays "
+                          "of equal length")
+    n = row.size
+    try:
+        # (c, r) both given: with c alone scipy assumes a Hermitian matrix
+        x = _sla.solve_toeplitz((row, row), b, check_finite=False)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        if np.all(np.isfinite(x)):
+            resid = np.convolve(np.concatenate((row[:0:-1], row)), x, mode="valid") - b
+            sums = np.cumsum(np.abs(row))
+            t_norm = np.max(sums + sums[::-1]) - abs(row[0])  # largest row sum of |T|
+            scale = t_norm * np.abs(x).max() + np.abs(b).max()
+            if np.abs(resid).max() <= n * 1e3 * np.finfo(float).eps * scale:
+                return x
+    return solve_complex_dense(_sla.toeplitz(row, row), b)
 
 
 def spherical_basis(theta: float, phi: float):

@@ -1,11 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
+import mwkit
 from mwkit import radiator
 
 
 def polar(mag, deg):
     return mag * np.exp(1j * np.deg2rad(deg))
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a child Python process that imports this mwkit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mwkit.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
 
 
 @pytest.fixture

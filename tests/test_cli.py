@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -264,3 +266,29 @@ class TestLayoutInterfaces:
         best = max(rows, key=lambda r: float(r["f_db"]))
         assert float(best["u"]) == pytest.approx(0.0)
         assert float(best["v"]) == pytest.approx(0.0)
+
+
+MOM_WIRE = ["--radius-wl", "0.0005", "--freq-hz", "3e8"]
+
+
+class TestBytesIndependentOfBlasThreads:
+    """Identical inputs give identical bytes at any BLAS thread count. The
+    BLAS thread pool is sized at import, so each count runs in its own
+    process."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mom", "solve", "--half-length-wl", "0.25", *MOM_WIRE, "--segments", "81"],
+        ["mom", "solve", "--half-length-wl", "0.25", *MOM_WIRE, "--segments", "641"],
+        ["mom", "sweep", "--lengths-wl", "0.45,0.5,0.55", *MOM_WIRE, "--segments", "401"],
+        ["array", "pattern", "--k", "32", "--l", "32", "--pad", "8"],
+        ["net", "component", "--kind", "wilkinson_equal", "--f0-hz", "1e9",
+         "--freqs-hz", "0.5e9,1e9,2e9"],
+    ], ids=["mom-solve-81", "mom-solve-641", "mom-sweep-401", "array-pattern", "net"])
+    def test_one_and_two_threads_same_stdout(self, argv, child_env):
+        procs = [subprocess.Popen([sys.executable, "-m", "mwkit.cli", *argv],
+                                  env=dict(child_env, OPENBLAS_NUM_THREADS=threads),
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for threads in ("1", "2")]
+        outs = [p.communicate(timeout=120) for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
+        assert outs[0][0] and outs[0][0] == outs[1][0]

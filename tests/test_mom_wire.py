@@ -1,12 +1,16 @@
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from mwkit import mom_wire as mom
+from mwkit import numerics
 from mwkit import radiator as rad
-from mwkit.numerics import C0, ConvergenceError, DomainError, QuadratureSpec
+from mwkit.numerics import (C0, ETA0, ConvergenceError, DomainError, QuadratureSpec,
+                            solve_complex_dense)
 
 F0 = C0  # lambda0 = 1 m
 
@@ -197,6 +201,33 @@ class TestSolve:
         sol = mom.solve_currents(make_problem(n_segments=3))
         assert np.isfinite(sol.z_in)
 
+    @pytest.mark.parametrize("collocation", [False, True])
+    def test_levinson_matches_dense_lu_on_thin_wire(self, collocation, monkeypatch):
+        # delta / a = 78 and a large cond(Z): Levinson does not pivot, yet its
+        # result must pass the backward-error gate without the LU fallback
+        p = make_problem(radius_a=1e-5, n_segments=641, collocation=collocation)
+        mesh = mom.segment_wire(p)
+        ref = solve_complex_dense(mom.fill_impedance_matrix(p, mesh),
+                                  -mom.excitation_vector(p, mesh))
+
+        def no_fallback(a, b):
+            raise AssertionError("Levinson result rejected, LU fallback ran")
+
+        monkeypatch.setattr(numerics, "solve_complex_dense", no_fallback)
+        currents = mom.solve_currents(p).currents
+        assert np.abs(currents - ref).max() <= 1e-9 * np.abs(ref).max()
+
+    def test_study_leaves_scipy_fft_unloaded(self, child_env):
+        # importing scipy.fft costs 60-100 ms, which every CLI process would pay
+        code = ("import sys\n"
+                "from mwkit import mom_wire as m\n"
+                "sol = m.solve_currents(m.WireProblem(0.25, 0.001, m.C0, 41))\n"
+                "m.radiated_power(sol)\n"
+                "print('scipy.fft' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert out.stdout.split() == ["False"]
+
 
 class TestFarField:
     def test_axis_null(self):
@@ -225,6 +256,23 @@ class TestFarField:
         p_rad = mom.radiated_power(sol)
         p_in = mom.input_power(sol)
         assert p_rad == pytest.approx(p_in, rel=0.05)
+
+    @pytest.mark.parametrize("half_length", [0.25, 0.75, 5.0])
+    @pytest.mark.parametrize("collocation", [False, True])
+    def test_radiated_power_matches_quad(self, half_length, collocation):
+        from scipy import integrate
+
+        n = 41 if half_length < 1.0 else 101
+        sol = mom.solve_currents(make_problem(half_length_l=half_length, n_segments=n,
+                                              collocation=collocation))
+
+        def density(th):
+            return abs(complex(mom.mom_far_field(sol, th).e_theta)) ** 2 * math.sin(th)
+
+        val, _ = integrate.quad(density, 0.0, math.pi, epsabs=0.0, epsrel=1e-13,
+                                limit=500)
+        oracle = 2 * math.pi * val / (2 * ETA0)
+        assert mom.radiated_power(sol) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 class TestConvergence:

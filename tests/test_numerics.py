@@ -226,6 +226,54 @@ class TestSolveComplexDense:
             nm.solve_complex_dense(np.eye(3), np.ones(2))
 
 
+class TestSolveSymmetricToeplitz:
+    @staticmethod
+    def dense_solution(row, b):
+        from scipy import linalg
+        return linalg.solve(linalg.toeplitz(row, row), b)
+
+    @staticmethod
+    def no_fallback(a, b):
+        raise AssertionError("Levinson result rejected, LU fallback ran")
+
+    def test_complex_symmetric_not_hermitian(self, monkeypatch):
+        # with the row alone, scipy's Toeplitz routines assume a Hermitian
+        # matrix; this one is only symmetric, and Levinson must solve it
+        monkeypatch.setattr(nm, "solve_complex_dense", self.no_fallback)
+        row = np.array([4 - 1j, 1 + 2j, 0.5 - 0.5j, 0.25j])
+        b = np.array([1.0, -2j, 3.0, 0.5 + 1j])
+        x = nm.solve_symmetric_toeplitz(row, b)
+        np.testing.assert_allclose(x, self.dense_solution(row, b), rtol=1e-13)
+
+    def test_zero_leading_entry_falls_back_to_lu(self):
+        # nonsingular, but Levinson meets a singular 1 x 1 leading minor
+        row = np.array([0.0, 1.0, 0.5])
+        b = np.array([1.0, 2.0, 3.0])
+        x = nm.solve_symmetric_toeplitz(row, b)
+        np.testing.assert_allclose(x, self.dense_solution(row, b), rtol=1e-14)
+
+    def test_backward_error_gate_falls_back_to_lu(self):
+        # a tiny leading minor: Levinson runs but is off by ~2e-9 relative
+        row = np.array([1e-8, 1.0, 0.5])
+        b = np.array([1.0, 2.0, 3.0])
+        x = nm.solve_symmetric_toeplitz(row, b)
+        ref = self.dense_solution(row, b)
+        assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_zero_row_reports_pivot(self):
+        with pytest.raises(nm.SingularMatrixError) as exc:
+            nm.solve_symmetric_toeplitz(np.zeros(3), np.ones(3))
+        assert exc.value.pivot_index == 0
+
+    def test_shape_errors(self):
+        with pytest.raises(nm.DomainError):
+            nm.solve_symmetric_toeplitz(np.ones(3), np.ones(2))
+        with pytest.raises(nm.DomainError):
+            nm.solve_symmetric_toeplitz(np.ones((2, 2)), np.ones(2))
+        with pytest.raises(nm.DomainError):
+            nm.solve_symmetric_toeplitz(np.ones(0), np.ones(0))
+
+
 class TestSphericalBasis:
     def test_z_axis(self):
         u_r, _, _ = nm.spherical_basis(0.0, 0.0)
