@@ -830,17 +830,15 @@ def _known_flag_keys(parser) -> dict:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv:
-        try:
-            i = argv.index("--config")
-            path = argv[i + 1]
-            rest = argv[:i] + argv[i + 2:]
-            config = load_config(path)
-            prefix = config_to_argv(config, _known_flag_keys(parser))
-            argv = prefix + rest
-        except (IndexError, DomainError, OSError) as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    pre.add_argument("--config")  # both "--config path" and "--config=path"
+    try:
+        known, argv = pre.parse_known_args(argv)
+        if known.config is not None:
+            argv = config_to_argv(load_config(known.config), _known_flag_keys(parser)) + argv
+    except (argparse.ArgumentError, DomainError, OSError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "handler", None):

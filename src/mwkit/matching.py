@@ -1,6 +1,7 @@
 """Matching and filter synthesis: conjugate match, lumped L-sections,
 single-stub tuners, Richards/Kuroda stub low-pass filters and coupled-line
-Chebyshev bandpass designs, with an ideal-element response evaluator.
+Chebyshev bandpass designs, with an ideal-element response evaluator that acts
+on the whole frequency grid at once (an ``(F, 2, 2)`` ABCD stack per element).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .network import _abcd_to_s, _line_abcd, _two_port
 from .numerics import DomainError
 
 TWO_PI = 2.0 * math.pi
@@ -280,7 +282,7 @@ class DistributedElement:
     theta0: float
     f0: float
 
-    def theta(self, freq: float) -> float:
+    def theta(self, freq: float | np.ndarray) -> float | np.ndarray:
         return self.theta0 * freq / self.f0
 
 
@@ -291,39 +293,32 @@ class DistributedNetwork:
     meta: dict = field(default_factory=dict)
 
 
-def _element_abcd(el: DistributedElement, freq: float) -> np.ndarray:
-    th = el.theta(freq)
-    ct, st = math.cos(th), math.sin(th)
+def _element_abcd(el: DistributedElement, freqs: np.ndarray) -> np.ndarray:
+    """(F, 2, 2) ABCD stack of one element; a stub at its pole is 1e30."""
+    th = el.theta(freqs)
     if el.kind == "unit_element":
-        return np.array([[ct, 1j * el.z * st], [1j * st / el.z, ct]], dtype=complex)
-    if el.kind in ("series_open_stub", "series_shorted_stub"):
+        return _line_abcd(el.z, th)
+    ct, st = np.cos(th), np.sin(th)
+    with np.errstate(divide="ignore", invalid="ignore"):
         if el.kind == "series_open_stub":
-            z = -1j * el.z * ct / st if st != 0 else complex(1e30)
-        else:
-            z = 1j * el.z * st / ct if ct != 0 else complex(1e30)
-        return np.array([[1.0, z], [0.0, 1.0]], dtype=complex)
-    if el.kind in ("shunt_open_stub", "shunt_shorted_stub"):
+            return _two_port(1.0, np.where(st != 0, -1j * (el.z * ct / st), 1e30), 0.0, 1.0)
+        if el.kind == "series_shorted_stub":
+            return _two_port(1.0, np.where(ct != 0, 1j * (el.z * st / ct), 1e30), 0.0, 1.0)
         if el.kind == "shunt_open_stub":
-            y = 1j * st / (el.z * ct) if ct != 0 else complex(1e30)
-        else:
-            y = -1j * ct / (el.z * st) if st != 0 else complex(1e30)
-        return np.array([[1.0, 0.0], [y, 1.0]], dtype=complex)
+            return _two_port(1.0, 0.0, np.where(ct != 0, 1j * (st / (el.z * ct)), 1e30), 1.0)
+        if el.kind == "shunt_shorted_stub":
+            return _two_port(1.0, 0.0, np.where(st != 0, -1j * (ct / (el.z * st)), 1e30), 1.0)
     raise DomainError(f"unknown element kind {el.kind!r}")
 
 
 def filter_response(network: DistributedNetwork, freqs) -> dict:
     """{s11, s21} of an ideal-element network between z0 terminations."""
-    from .network import _abcd_to_s
     freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
-    s11 = np.empty(len(freqs), dtype=complex)
-    s21 = np.empty(len(freqs), dtype=complex)
-    for fi, f in enumerate(freqs):
-        m = np.eye(2, dtype=complex)
-        for el in network.elements:
-            m = m @ _element_abcd(el, f)
-        s = _abcd_to_s(m, network.z0)
-        s11[fi], s21[fi] = s[0, 0], s[1, 0]
-    return {"s11": s11, "s21": s21, "freqs": freqs}
+    m = np.broadcast_to(np.eye(2, dtype=complex), (len(freqs), 2, 2))
+    for el in network.elements:
+        m = m @ _element_abcd(el, freqs)
+    s = _abcd_to_s(m, network.z0)
+    return {"s11": s[:, 0, 0], "s21": s[:, 1, 0], "freqs": freqs}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Frequency-indexed N-port parameter algebra: S/Z/Y representations and
 conversions, two-port embedding and cascading, canonical component generators
-and Touchstone v1 file I/O.
+and Touchstone v1 file I/O. Conversions, cascades and components act on the
+whole ``(F, N, N)`` stack at once, with no loop over frequency (the layout of
+scikit-rf, https://scikit-rf.org; Pozar, *Microwave Engineering*, ch. 4).
 """
 
 from __future__ import annotations
@@ -101,33 +103,39 @@ class PortTermination:
 # ---------------------------------------------------------------------------
 
 def convert(params: NPortParams, to_kind: str, z_ref: float | None = None) -> NPortParams:
-    """Convert between S, Z and Y representations (uniform real z_ref)."""
+    """Convert between S, Z and Y representations (uniform real z_ref); a
+    singular matrix raises ConversionError at its lowest frequency index."""
     if to_kind not in ("S", "Z", "Y"):
         raise DomainError(f"unknown target kind {to_kind!r}")
     zr = params.uniform_z_ref() if z_ref is None else float(z_ref)
     n = params.n_ports
     eye = np.eye(n)
-    out = np.empty_like(params.matrices)
+    m = params.matrices
+    failed = []  # (first singular frequency index, stage), in stage order
 
-    def inv_at(m, fi, what):
-        sv = np.linalg.svd(m, compute_uv=False)
-        if sv[-1] <= sv[0] * m.shape[0] * 1e-14:
-            raise ConversionError(f"singular {what} at frequency index {fi}", fi)
-        return np.linalg.inv(m)
+    def inv(x, what):
+        sv = np.linalg.svd(x, compute_uv=False)
+        bad = sv[:, -1] <= sv[:, 0] * n * 1e-14
+        if bad.any():
+            failed.append((int(np.argmax(bad)), what))
+            x = np.where(bad[:, None, None], eye, x)  # stand-in: later stages there go unreported
+        return np.linalg.inv(x)
 
-    for fi, m in enumerate(params.matrices):
-        if params.kind == "S":
-            z = zr * (eye + m) @ inv_at(eye - m, fi, "(I - S)")
-        elif params.kind == "Z":
-            z = m
-        else:
-            z = inv_at(m, fi, "Y")
-        if to_kind == "Z":
-            out[fi] = z
-        elif to_kind == "Y":
-            out[fi] = inv_at(z, fi, "Z")
-        else:
-            out[fi] = (z - zr * eye) @ inv_at(z + zr * eye, fi, "(Z + Zref I)")
+    if params.kind == "S":
+        z = zr * (eye + m) @ inv(eye - m, "(I - S)")
+    elif params.kind == "Z":
+        z = m
+    else:
+        z = inv(m, "Y")
+    if to_kind == "Z":
+        out = z.copy() if z is m else z  # never alias the input stack
+    elif to_kind == "Y":
+        out = inv(z, "Z")
+    else:
+        out = (z - zr * eye) @ inv(z + zr * eye, "(Z + Zref I)")
+    if failed:
+        fi, what = min(failed, key=lambda t: t[0])  # ties keep the earlier stage
+        raise ConversionError(f"singular {what} at frequency index {fi}", fi)
     return NPortParams(kind=to_kind, freqs=params.freqs.copy(), matrices=out,
                        z_ref=np.full(n, zr))
 
@@ -150,26 +158,39 @@ def two_port_gammas(s: np.ndarray, term: PortTermination) -> dict:
 # ABCD helpers and cascading
 # ---------------------------------------------------------------------------
 
+def _two_port(a, b, c, d):
+    """Stack (..., 2, 2) of [[a, b], [c, d]] from broadcastable entries."""
+    m = np.empty(np.broadcast(a, b, c, d).shape + (2, 2), dtype=complex)
+    m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1] = a, b, c, d
+    return m
+
+
+def _line_abcd(z, theta):
+    """ABCD stack of a lossless line of impedance z, electrical length theta (rad)."""
+    ct, st = np.cos(theta), np.sin(theta)
+    return _two_port(ct, 1j * (z * st), 1j * (st / z), ct)
+
+
 def _s_to_abcd(s, z0):
-    s11, s12, s21, s22 = s[0, 0], s[0, 1], s[1, 0], s[1, 1]
+    s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
     den = 2.0 * s21
     a = ((1 + s11) * (1 - s22) + s12 * s21) / den
     b = z0 * ((1 + s11) * (1 + s22) - s12 * s21) / den
     c = ((1 - s11) * (1 - s22) - s12 * s21) / (den * z0)
     d = ((1 - s11) * (1 + s22) + s12 * s21) / den
-    return np.array([[a, b], [c, d]])
+    return _two_port(a, b, c, d)
 
 
 def _abcd_to_s(m, z0_in, z0_out=None):
     if z0_out is None:
         z0_out = z0_in
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     den = a * z0_out + b + c * z0_in * z0_out + d * z0_in
     s11 = (a * z0_out + b - c * z0_in * z0_out - d * z0_in) / den
     s21 = 2.0 * math.sqrt(z0_in * z0_out) / den
     s12 = 2.0 * (a * d - b * c) * math.sqrt(z0_in * z0_out) / den
     s22 = (-a * z0_out + b - c * z0_in * z0_out + d * z0_in) / den
-    return np.array([[s11, s12], [s21, s22]])
+    return _two_port(s11, s12, s21, s22)
 
 
 def cascade(a: NPortParams, b: NPortParams) -> NPortParams:
@@ -183,10 +204,7 @@ def cascade(a: NPortParams, b: NPortParams) -> NPortParams:
         raise GridMismatchError("reference impedances differ")
     sa = a if a.kind == "S" else convert(a, "S", za)
     sb = b if b.kind == "S" else convert(b, "S", zb)
-    out = np.empty_like(sa.matrices)
-    for fi in range(len(a.freqs)):
-        m = _s_to_abcd(sa.matrices[fi], za) @ _s_to_abcd(sb.matrices[fi], za)
-        out[fi] = _abcd_to_s(m, za)
+    out = _abcd_to_s(_s_to_abcd(sa.matrices, za) @ _s_to_abcd(sb.matrices, za), za)
     return NPortParams("S", a.freqs.copy(), out, z_ref=np.full(2, za))
 
 
@@ -229,14 +247,7 @@ def component_sparams(kind: str, params: dict, freqs, z_ref: float = 50.0) -> NP
 
     if kind == "ideal_line":
         zline = complex(params.get("z0_line", z0))
-        out = np.empty((nf, 2, 2), dtype=complex)
-        for fi, f in enumerate(freqs):
-            theta = _electrical_angle(params, f)
-            ab = np.array([
-                [cmath.cos(theta), 1j * zline * cmath.sin(theta)],
-                [1j * cmath.sin(theta) / zline, cmath.cos(theta)],
-            ])
-            out[fi] = _abcd_to_s(ab, z0)
+        out = _abcd_to_s(_line_abcd(zline, _electrical_angle(params, freqs)), z0)
         return NPortParams("S", freqs, out, z_ref=z0)
 
     if kind == "t_junction":
@@ -256,41 +267,31 @@ def component_sparams(kind: str, params: dict, freqs, z_ref: float = 50.0) -> NP
         if f0 <= 0:
             raise DomainError("wilkinson_equal needs f0 > 0")
         z = math.sqrt(2.0) * z0
-        out = np.empty((nf, 3, 3), dtype=complex)
-        for fi, f in enumerate(freqs):
-            th = 0.5 * math.pi * f / f0
-            ct, st = math.cos(th), math.sin(th)
-            # port 1: two branch lines in parallel, each terminated with z0
-            zin_branch = z * (z0 * ct + 1j * z * st) / (z * ct + 1j * z0 * st)
-            zp = 0.5 * zin_branch
-            s11 = (zp - z0) / (zp + z0)
-            # even mode seen from port 2: branch line terminated with 2 z0
-            zin_e = z * (2 * z0 * ct + 1j * z * st) / (z * ct + 1j * 2 * z0 * st)
-            g_e = (zin_e - z0) / (zin_e + z0)
-            # odd mode: R/2 = z0 in parallel with a shorted branch stub
-            zst = 1j * z * st / ct if abs(ct) > 1e-15 else None
-            if zst is None:
-                z_o = complex(z0)
-            else:
-                z_o = z0 * zst / (z0 + zst)
-            g_o = (z_o - z0) / (z_o + z0)
-            s22 = 0.5 * (g_e + g_o)
-            s23 = 0.5 * (g_e - g_o)
-            # transmission port2 -> port1 via the even-mode half circuit
-            ab = np.array([[ct, 1j * z * st], [1j * st / z, ct]], dtype=complex)
-            s21 = _abcd_to_s(ab, z0, 2 * z0)[1, 0] / math.sqrt(2.0)
-            out[fi] = np.array([
-                [s11, s21, s21],
-                [s21, s22, s23],
-                [s21, s23, s22],
-            ])
+        th = 0.5 * math.pi * freqs / f0
+        ct, st = np.cos(th), np.sin(th)
+        # port 1: two branch lines in parallel, each terminated with z0
+        zp = 0.5 * z * (z0 * ct + 1j * z * st) / (z * ct + 1j * z0 * st)
+        s11 = (zp - z0) / (zp + z0)
+        # even mode seen from port 2: branch line terminated with 2 z0
+        zin_e = z * (2 * z0 * ct + 1j * z * st) / (z * ct + 1j * 2 * z0 * st)
+        g_e = (zin_e - z0) / (zin_e + z0)
+        # odd mode: R/2 = z0 in parallel with a shorted branch stub (open at ct = 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zst = 1j * (z * st / ct)
+            z_o = np.where(np.abs(ct) > 1e-15, z0 * zst / (z0 + zst), z0)
+        g_o = (z_o - z0) / (z_o + z0)
+        s22 = 0.5 * (g_e + g_o)
+        s23 = 0.5 * (g_e - g_o)
+        # transmission port2 -> port1 via the even-mode half circuit
+        s21 = _abcd_to_s(_line_abcd(z, th), z0, 2 * z0)[:, 1, 0] / math.sqrt(2.0)
+        out = np.stack([s11, s21, s21, s21, s22, s23, s21, s23, s22], -1).reshape(nf, 3, 3)
         return NPortParams("S", freqs, out, z_ref=z0)
 
     raise DomainError(f"unsupported component kind {kind!r}")
 
 
-def _electrical_angle(params: dict, f: float) -> float:
-    """Electrical length in radians at frequency f from one of the accepted
+def _electrical_angle(params: dict, f: np.ndarray) -> np.ndarray:
+    """Electrical length in radians at frequencies f from one of the accepted
     parameterizations."""
     if "theta_at_f0" in params:
         return float(params["theta_at_f0"]) * f / float(params["f0"])

@@ -75,6 +75,20 @@ class TestConfig:
         row = read_csv(out)[0]
         assert float(row["t0_k"]) == 150.0
 
+    @pytest.mark.parametrize("text, tail", [
+        ("command = noise floor\nbandwidth_hz = 1e6\nt0_k = 300\n", []),
+        ("command = noise floor\nbandwidth_hz = 1e6\nt0_k = 300\n", ["--t0-k", "150"]),
+        ("command = smith map\nz-ohm = 100,0\n", ["--z-ohm", "25,0"]),
+        ("command = smith map\nz-ohm = 100,0\n", ["smith", "map", "--z-ohm", "25,0"]),
+    ], ids=["file-only", "flag-overrides", "z-overrides", "repeated-command"])
+    def test_equals_spelling_reads_the_file(self, tmp_path, capsys, text, tail):
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        spaced = run(capsys, "--config", str(p), *tail)
+        joined = run(capsys, f"--config={p}", *tail)
+        assert joined == spaced
+        assert spaced[0] == (2 if "smith" in tail else 0)
+
     def test_comment_styles(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("# comment\n! other comment\ncommand = noise floor\n")

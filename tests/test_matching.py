@@ -205,6 +205,22 @@ class TestCoupledLineBandpass:
 
 
 class TestFilterResponse:
+    @pytest.mark.parametrize("design", ["lowpass", "bandpass"])
+    def test_grid_matches_single_frequency_calls(self, design):
+        if design == "lowpass":
+            proto = matching.BUILTIN_PROTOTYPES[("maximally_flat", 3)]
+            network = matching.richard_kuroda_lowpass(proto, 2e9, 50.0)
+        else:
+            proto = matching.BUILTIN_PROTOTYPES[("chebyshev_0.5dB", 2)]
+            network = matching.coupled_line_bandpass_design(proto, 2e9, 1.8e9, 50.0)["network"]
+        freqs = np.linspace(0.0, 8e9, 41)  # f = 0 is an exact stub pole; 4 and 8 GHz are near ones
+        r = matching.filter_response(network, freqs)
+        assert r["s11"].shape == r["s21"].shape == (41,)
+        for fi, f in enumerate(freqs):
+            one = matching.filter_response(network, f)
+            for key in ("s11", "s21"):
+                np.testing.assert_allclose(r[key][fi], one[key][0], rtol=1e-13, atol=0)
+
     def test_lossless_power_conservation(self):
         proto = matching.BUILTIN_PROTOTYPES[("chebyshev_3.0dB", 2)]
         d = matching.coupled_line_bandpass_design(proto, 28e9, 0.9 * 28e9, 50.0)

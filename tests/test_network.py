@@ -57,6 +57,68 @@ class TestConversions:
         assert exc.value.freq_index == 0
 
 
+class TestBatchedStack:
+    """A whole (F, 2, 2) stack gives what each one-point slice gives."""
+
+    @staticmethod
+    def stack(kind="S"):
+        rng = np.random.default_rng(11)
+        freqs = np.linspace(1e9, 4e9, 7)
+        s = net.NPortParams("S", freqs, np.array([random_two_port(rng) for _ in freqs]), 50.0)
+        return s if kind == "S" else net.convert(s, kind)
+
+    @staticmethod
+    def point(p, fi):
+        return net.NPortParams(p.kind, p.freqs[fi:fi + 1], p.matrices[fi:fi + 1], p.z_ref)
+
+    @pytest.mark.parametrize("src", ["S", "Z", "Y"])
+    @pytest.mark.parametrize("dst", ["S", "Z", "Y"])
+    def test_convert_matches_point_by_point(self, src, dst):
+        p = self.stack(src)
+        whole = net.convert(p, dst, 40.0).matrices
+        assert whole.shape == (7, 2, 2)
+        for fi in range(7):
+            one = net.convert(self.point(p, fi), dst, 40.0).matrices[0]
+            np.testing.assert_allclose(whole[fi], one, rtol=1e-13, atol=0)
+
+    def test_convert_returns_a_new_stack(self):
+        p = self.stack("Z")
+        before = p.matrices.copy()
+        net.convert(p, "Z").matrices[:] = 0
+        np.testing.assert_array_equal(p.matrices, before)
+
+    def test_cascade_matches_point_by_point(self):
+        a, b = self.stack(), self.stack("Z")
+        whole = net.cascade(a, b).matrices
+        for fi in range(7):
+            one = net.cascade(self.point(a, fi), self.point(b, fi)).matrices[0]
+            np.testing.assert_allclose(whole[fi], one, rtol=1e-13, atol=0)
+
+    def test_conversion_error_names_lowest_index_and_its_stage(self):
+        # S = -I at index 1 makes Z singular; S = I at index 3 makes (I - S) singular
+        p = self.stack()
+        p.matrices[1] = -np.eye(2)
+        p.matrices[3] = np.eye(2)
+        with pytest.raises(net.ConversionError) as exc:
+            net.convert(p, "Y")
+        assert exc.value.freq_index == 1
+        assert str(exc.value) == "singular Z at frequency index 1"
+        with pytest.raises(net.ConversionError) as exc:
+            net.convert(p, "Z")
+        assert exc.value.freq_index == 3
+        assert str(exc.value) == "singular (I - S) at frequency index 3"
+
+
+class TestPortTermination:
+    @pytest.mark.parametrize("z, gamma", [(100.0, 1 / 3), (0.0, -1.0), (50j, 1j)])
+    def test_from_impedances_off_reference(self, z, gamma):
+        t = net.PortTermination.from_impedances(z, 50.0, 50.0)
+        assert t.gamma_s == pytest.approx(gamma, abs=1e-15)
+        assert t.gamma_l == 0
+        t = net.PortTermination.from_impedances(50.0, z, 50.0)
+        assert t.gamma_s == 0
+        assert t.gamma_l == pytest.approx(gamma, abs=1e-15)
+
 class TestTwoPortGammas:
     def test_bfu730f_worked_example(self, bfu730f):
         term = net.PortTermination.from_impedances(73.0, 50.0, 50.0)
