@@ -180,8 +180,15 @@ def _emit(args, rows):
     write_output(emit_table(rows, args.format, args.complex_format), args.out)
 
 
+def _wavelength(freq_hz):
+    """Free-space wavelength; a frequency that has none is a DomainError."""
+    if not (math.isfinite(freq_hz) and freq_hz > 0):
+        raise DomainError(f"freq must be finite and > 0, got {freq_hz}")
+    return C0 / freq_hz
+
+
 def _antenna_model(args):
-    lam = C0 / args.freq_hz
+    lam = _wavelength(args.freq_hz)
     kind = args.model
     if kind == "dipole":
         return radiator.ElectricDipole(i0l=args.i0l_am)
@@ -402,7 +409,15 @@ def cmd_filter_bandpass(args):
 
 
 def _s_at_freq(params, freq):
-    idx = int(np.argmin(np.abs(params.freqs - freq)))
+    """S matrix at ``freq``, which must be a frequency of the file (relative
+    1e-9): nothing is interpolated, so an off-grid query is a DomainError."""
+    freqs = params.freqs
+    idx = int(np.argmin(np.abs(freqs - freq)))
+    if not abs(freqs[idx] - freq) <= 1e-9 * abs(freqs[idx]):
+        i = int(np.searchsorted(freqs, freq))
+        near = ", ".join(f"{f:.10g}" for f in freqs[max(i - 1, 0):i + 1])
+        raise DomainError(f"--freq-hz {freq:.10g} is not a frequency of the file; "
+                          f"nearest: {near} Hz")
     return params.matrices[idx]
 
 
@@ -513,7 +528,7 @@ def cmd_antenna_microstrip(args):
 
 
 def cmd_mom_solve(args):
-    lam = C0 / args.freq_hz
+    lam = _wavelength(args.freq_hz)
     prob = mom_wire.WireProblem(half_length_l=args.half_length_wl * lam,
                                 radius_a=args.radius_wl * lam, freq=args.freq_hz,
                                 n_segments=args.segments,
@@ -527,7 +542,7 @@ def cmd_mom_solve(args):
 
 
 def cmd_mom_sweep(args):
-    lam = C0 / args.freq_hz
+    lam = _wavelength(args.freq_hz)
     rows = []
     for s in args.lengths_wl.split(","):
         tl = float(s)

@@ -22,6 +22,10 @@ does not pivot; its result is accepted only when the normwise backward error
 is within N * 1e3 * eps, and otherwise the expanded matrix goes to the dense
 LU (numerics.solve_symmetric_toeplitz).
 
+scipy.linalg is imported inside fill_impedance_matrix and the numerics
+solves, not at module level: its import costs about 0.25 s, and the CLI
+imports this module for every command, not only the MoM ones.
+
 The radiated power integrates |E|^2 over u = cos(theta) with a
 Gauss-Legendre rule of 2 k0 l + 30 nodes: in u the pattern is a smooth sum of
 exponentials with frequencies up to 2 k0 l, which that rule resolves to
@@ -36,7 +40,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .numerics import (C0, ETA0, DomainError, ConvergenceError, QuadratureSpec,
                        integrate_gk15, solve_symmetric_toeplitz)
@@ -131,6 +134,8 @@ def fill_impedance_matrix(problem: WireProblem, mesh: WireMesh,
     The row is integrated as ``_impedance_row`` describes. solve_currents
     never forms this matrix.
     """
+    from scipy.linalg import toeplitz
+
     row = _impedance_row(problem, mesh, spec)
     return toeplitz(row, row)
 

@@ -171,16 +171,6 @@ def _line_abcd(z, theta):
     return _two_port(ct, 1j * (z * st), 1j * (st / z), ct)
 
 
-def _s_to_abcd(s, z0):
-    s11, s12, s21, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 0], s[..., 1, 1]
-    den = 2.0 * s21
-    a = ((1 + s11) * (1 - s22) + s12 * s21) / den
-    b = z0 * ((1 + s11) * (1 + s22) - s12 * s21) / den
-    c = ((1 - s11) * (1 - s22) - s12 * s21) / (den * z0)
-    d = ((1 - s11) * (1 + s22) + s12 * s21) / den
-    return _two_port(a, b, c, d)
-
-
 def _abcd_to_s(m, z0_in, z0_out=None):
     if z0_out is None:
         z0_out = z0_in
@@ -194,7 +184,15 @@ def _abcd_to_s(m, z0_in, z0_out=None):
 
 
 def cascade(a: NPortParams, b: NPortParams) -> NPortParams:
-    """Cascade two 2-ports (port 2 of ``a`` into port 1 of ``b``)."""
+    """Cascade two 2-ports (port 2 of ``a`` into port 1 of ``b``).
+
+    Redheffer star product of the S stacks: eliminating the waves between
+    the two networks leaves the one denominator 1 - S22a S11b, the
+    multiple-reflection loop. Unlike an ABCD product this has no pole at
+    S21 = 0, so a blocking network cascades to a finite result. A lossless
+    loop (1 - S22a S11b = 0) raises ConversionError at the lowest such
+    frequency index.
+    """
     if a.n_ports != 2 or b.n_ports != 2:
         raise DomainError("cascade works on 2-ports")
     if a.freqs.shape != b.freqs.shape or not np.array_equal(a.freqs, b.freqs):
@@ -204,7 +202,16 @@ def cascade(a: NPortParams, b: NPortParams) -> NPortParams:
         raise GridMismatchError("reference impedances differ")
     sa = a if a.kind == "S" else convert(a, "S", za)
     sb = b if b.kind == "S" else convert(b, "S", zb)
-    out = _abcd_to_s(_s_to_abcd(sa.matrices, za) @ _s_to_abcd(sb.matrices, za), za)
+    ma, mb = sa.matrices, sb.matrices
+    a11, a12, a21, a22 = ma[:, 0, 0], ma[:, 0, 1], ma[:, 1, 0], ma[:, 1, 1]
+    b11, b12, b21, b22 = mb[:, 0, 0], mb[:, 0, 1], mb[:, 1, 0], mb[:, 1, 1]
+    loop = 1 - a22 * b11
+    bad = np.flatnonzero(loop == 0)
+    if bad.size:
+        fi = int(bad[0])
+        raise ConversionError(f"1 - S22a S11b = 0 at frequency index {fi}", fi)
+    out = _two_port(a11 + a12 * a21 * b11 / loop, a12 * b12 / loop,
+                    a21 * b21 / loop, b22 + b12 * b21 * a22 / loop)
     return NPortParams("S", a.freqs.copy(), out, z_ref=np.full(2, za))
 
 

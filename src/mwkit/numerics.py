@@ -3,6 +3,10 @@ quadrature and complex linear solves (dense LU, symmetric Toeplitz).
 
 Sign conventions used throughout the package are fixed here: time factor
 e^{+j omega t}, forward wave e^{-j beta z}, theta measured from the +z axis.
+
+The two solves import scipy.linalg inside their bodies. Importing it costs
+about 0.25 s, more than the rest of the package together, and only the MoM
+wire solve needs it; every other CLI command starts without loading scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as _sla
 
 # Physical constants (SI)
 C0 = 299_792_458.0          # speed of light [m/s]
@@ -197,11 +200,6 @@ def bessel_j(order: int, x):
     return float(res[0]) if scalar else res.reshape(np.shape(x))
 
 
-def sinc(x):
-    """sin(x)/x with the removable singularity filled in (sinc(0) = 1)."""
-    return np.sinc(np.asarray(x) / math.pi) if not np.isscalar(x) else float(np.sinc(x / math.pi))
-
-
 def cosine_integral(x: float) -> float:
     """Cosine integral ci(x) = -integral_x^inf cos(t)/t dt for x > 0."""
     if not (x > 0):
@@ -373,6 +371,8 @@ def solve_complex_dense(a, b):
         raise DomainError("matrix must be square")
     if b.shape[0] != a.shape[0]:
         raise DomainError("right-hand side length must match matrix size")
+    from scipy import linalg as _sla
+
     lu, piv = _sla.lu_factor(a, check_finite=False)
     diag = np.abs(np.diag(lu))
     scale = np.max(np.abs(a)) if a.size else 0.0
@@ -405,6 +405,8 @@ def solve_symmetric_toeplitz(row, b):
     if row.ndim != 1 or row.size == 0 or b.shape != row.shape:
         raise DomainError("row and right-hand side must be non-empty 1-D arrays "
                           "of equal length")
+    from scipy import linalg as _sla
+
     n = row.size
     try:
         # (c, r) both given: with c alone scipy assumes a Hermitian matrix
@@ -435,8 +437,3 @@ def spherical_basis(theta: float, phi: float):
 def db10(x):
     """Power ratio to dB."""
     return 10.0 * np.log10(x)
-
-
-def db20(x):
-    """Voltage/reflection ratio to dB."""
-    return 20.0 * np.log10(x)

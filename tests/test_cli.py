@@ -120,6 +120,36 @@ class TestExitCodes:
         assert out == ""
         assert field in err
 
+    @pytest.mark.parametrize("argv", [
+        ["mom", "solve", "--half-length-wl", "0.25", "--radius-wl", "0.001",
+         "--segments", "21"],
+        ["mom", "sweep", "--lengths-wl", "0.5", "--radius-wl", "0.001", "--segments", "21"],
+        ["antenna", "directivity", "--model", "dipole"],
+    ], ids=["mom-solve", "mom-sweep", "antenna-directivity"])
+    def test_zero_frequency_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--freq-hz", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: freq must be finite and > 0")
+
+    @pytest.mark.parametrize("argv", [
+        ["amp", "gains", "--zs-ohm", "50", "--zl-ohm", "50"],
+        ["amp", "stability"],
+        ["amp", "gain-circles", "--side", "source", "--gains-db", "1"],
+    ], ids=["gains", "stability", "gain-circles"])
+    def test_amp_off_grid_frequency_is_an_error(self, bfu730f_s2p, capsys, argv):
+        # the file holds 0.4 GHz only; 40 GHz used to print the 0.4 GHz result
+        code, out, err = run(capsys, *argv, "--s2p", bfu730f_s2p, "--freq-hz", "40e9")
+        assert code == 1
+        assert out == ""
+        assert "not a frequency of the file; nearest: 400000000 Hz" in err
+
+    def test_amp_on_grid_within_relative_tolerance(self, bfu730f_s2p, capsys):
+        outs = [run(capsys, "amp", "stability", "--s2p", bfu730f_s2p, "--freq-hz", f)
+                for f in ("400e6", "400000000.1")]
+        assert outs[0][0] == 0
+        assert outs[0] == outs[1]
+
     def test_messages_to_stderr_only(self, tmp_path, capsys):
         bad = tmp_path / "nope.s2p"
         code, out, err = run(capsys, "net", "convert", "--in", str(bad), "--to", "z")
@@ -220,6 +250,20 @@ class TestCommands:
         assert "Ze = 65.22" in out
         assert "34.78, 70.33, 70.33, 34.78" in out
 
+    def test_net_cascade_through_a_blocking_two_port(self, tmp_path, capsys):
+        # b has S21 = S12 = 0, which no ABCD matrix represents
+        a, b = tmp_path / "a.s2p", tmp_path / "b.s2p"
+        a.write_text("# GHz S RI R 50\n1 0.1 0 0.9 0 0.9 0 0.1 0\n")
+        b.write_text("# GHz S RI R 50\n1 0.5 0 0 0 0 0 0.5 0\n")
+        code, out, _ = run(capsys, "net", "cascade", "--in", str(a), "--in2", str(b))
+        assert code == 0
+        assert "nan" not in out
+        row = read_csv(out)[0]
+        assert float(row["s11_re"]) == pytest.approx(0.1 + 0.81 * 0.5 / 0.95, abs=1e-11)
+        assert float(row["s22_re"]) == pytest.approx(0.5, abs=1e-11)
+        for key in ("s11_im", "s12_re", "s12_im", "s21_re", "s21_im", "s22_im"):
+            assert float(row[key]) == 0.0
+
     def test_smith_map(self, capsys):
         code, out, _ = run(capsys, "smith", "map", "--z-ohm", "50,-150")
         row = read_csv(out)[0]
@@ -306,3 +350,45 @@ class TestBytesIndependentOfBlasThreads:
         outs = [p.communicate(timeout=120) for p in procs]
         assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
         assert outs[0][0] and outs[0][0] == outs[1][0]
+
+
+class TestStartup:
+    """Only the MoM solve imports scipy (about 0.25 s per process); every
+    other command starts without it."""
+
+    COMMANDS = [
+        ["smith", "map", "--z-ohm", "50,-150"],
+        ["tline", "gamma", "--r", "5", "--l", "0.2e-6", "--g", "0.01", "--c", "300e-12",
+         "--freq-hz", "500e6"],
+        ["net", "component", "--kind", "ideal_line", "--zline-ohm", "60",
+         "--theta0-deg", "90", "--f0-hz", "1e9", "--freqs-hz", "0.5e9,1e9,2e9"],
+        ["filter", "lowpass", "--g", "1,2,1", "--fc-hz", "4e9", "--n-points", "41"],
+        ["array", "pattern", "--k", "16", "--n-points", "101"],
+        ["antenna", "directivity", "--model", "dipole"],
+    ]
+
+    def test_commands_leave_scipy_unloaded(self, child_env):
+        code = ("import contextlib, io, json, sys\n"
+                "from mwkit import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    codes = [cli.main(argv) for argv in {self.COMMANDS!r}]\n"
+                "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+                "                                if m == 'scipy' or m.startswith('scipy.'))]))")
+        out = subprocess.run([sys.executable, "-c", code], env=child_env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert json.loads(out.stdout) == [[0] * len(self.COMMANDS), []]
+
+    def test_mom_solve_loads_scipy_linalg_with_same_bytes(self, child_env):
+        code = ("import sys\n"
+                "if sys.argv[1] == 'first':\n"
+                "    import scipy.linalg\n"
+                "from mwkit import cli\n"
+                "code = cli.main(sys.argv[2:])\n"
+                "print(code, 'scipy.linalg' in sys.modules, file=sys.stderr)")
+        argv = ["mom", "solve", "--half-length-wl", "0.25", *MOM_WIRE, "--segments", "21"]
+        outs = [subprocess.run([sys.executable, "-c", code, when, *argv], env=child_env,
+                               capture_output=True, text=True, timeout=120, check=True)
+                for when in ("first", "on-demand")]
+        assert [o.stderr.splitlines()[-1] for o in outs] == ["0 True", "0 True"]
+        assert outs[0].stdout.startswith("z_in = ")
+        assert outs[0].stdout == outs[1].stdout

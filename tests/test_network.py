@@ -199,6 +199,15 @@ class TestCascade:
             s22 = sb[1, 1] + sb[0, 1] * sb[1, 0] * sa[1, 1] / d
             np.testing.assert_allclose(got, [[s11, s12], [s21, s22]], atol=1e-10)
 
+    def test_lossless_reflection_loop_names_first_index(self):
+        freqs = np.array([1e9, 2e9, 3e9])
+        open_2 = np.array([[0.0, 0.0], [0.0, 1.0]])  # S22 = 1: port 2 open
+        a = net.NPortParams("S", freqs, [0.5 * open_2, open_2, open_2], 50.0)
+        b = net.NPortParams("S", freqs, [open_2[::-1, ::-1]] * 3, 50.0)  # S11 = 1
+        with pytest.raises(net.ConversionError, match="index 1") as info:
+            net.cascade(a, b)
+        assert info.value.freq_index == 1
+
     def test_grid_mismatch(self):
         a = net.component_sparams("series_z", {"z": 25.0}, ONE_GHZ, 50.0)
         b = net.component_sparams("series_z", {"z": 25.0}, np.array([2e9]), 50.0)

@@ -88,17 +88,6 @@ class TestCosineIntegral:
             nm.cosine_integral(-1.0)
 
 
-class TestSinc:
-    def test_values(self):
-        assert nm.sinc(0.0) == 1.0
-        assert nm.sinc(math.pi) == pytest.approx(0.0, abs=1e-15)
-        assert nm.sinc(1.0) == pytest.approx(0.8414709848, abs=1e-10)
-
-    def test_array(self):
-        x = np.array([0.0, math.pi / 2, math.pi])
-        np.testing.assert_allclose(nm.sinc(x), [1.0, 2 / math.pi, 0.0], atol=1e-15)
-
-
 class TestQuadrature:
     def test_sin_cubed(self):
         val, err = nm.integrate_adaptive(lambda t: math.sin(t) ** 3, 0.0, math.pi)
