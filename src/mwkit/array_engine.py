@@ -16,6 +16,7 @@ import numpy as np
 from .numerics import C0, KB, DomainError, bessel_j, db10
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+_MC_BLOCK = 256   # Monte Carlo trials per stacked matrix product
 
 
 class InfeasibleError(ValueError):
@@ -294,8 +295,8 @@ def schelkunov_z(theta: float, dx: float, freq: float) -> complex:
 
 def grating_lobes(dx_wl: float, u0: float, dy_wl: float | None = None,
                   v0: float = 0.0, include_main: bool = False) -> dict:
-    """Grating-lobe positions of a regular grid inside the closed unit disk,
-    and the spacing bound d/lambda0 <= 1/(1 + |sin theta_max|)."""
+    """Grating-lobe positions of a regular grid inside the closed unit disk.
+    ``max_spacing_wl`` gives the spacing bound that keeps them out."""
     if dx_wl <= 0:
         raise DomainError("spacing must be > 0")
     lobes = []
@@ -310,7 +311,7 @@ def grating_lobes(dx_wl: float, u0: float, dy_wl: float | None = None,
             vm = v0 + (jj / dy_wl if dy_wl else 0.0)
             if um * um + vm * vm <= 1.0 + 1e-12:
                 lobes.append((um, vm))
-    return {"lobes": lobes, "max_spacing_wl": None}
+    return {"lobes": lobes}
 
 
 def max_spacing_wl(theta_scan_max_rad: float) -> float:
@@ -344,8 +345,12 @@ def error_statistics(excitation: ExcitationSet, model: ErrorModel,
     amplitude errors; closed forms plus an optional Monte Carlo check.
 
     Monte Carlo trials draw per-trial seeds from (seed, trial index), so the
-    result is independent of any partitioning of the trial loop.
+    draws are independent of the trial blocking: each block of 256 trials
+    shares one matrix product per pattern, and the per-trial values are
+    summed in trial order.
     """
+    if n_trials < 0:
+        raise DomainError(f"n_trials must be >= 0, got {n_trials}")
     d2 = model.effective_phase_var()
     a2 = model.amp_var
     if d2 + a2 >= 0.1:
@@ -378,31 +383,37 @@ def _error_monte_carlo(excitation: ExcitationSet, model: ErrorModel,
     # error-free nulls of the uniform broadside pattern: u = m / (K dx)
     m = np.arange(1, min(k - 1, 8))
     u_nulls = m / (k * dx_wl)
-    phase_nulls = np.exp(2j * math.pi * np.multiply.outer(u_nulls, x))
+    phase_nulls = np.exp(2j * math.pi * np.multiply.outer(x, u_nulls))
     d2 = model.effective_phase_var()
     u_grid = None
     phase_grid = None
     mean_pattern = None
     if mean_pattern_points:
         u_grid = np.linspace(-1, 1, mean_pattern_points)
-        phase_grid = np.exp(2j * math.pi * np.multiply.outer(u_grid, x))
+        phase_grid = np.exp(2j * math.pi * np.multiply.outer(x, u_grid))
         mean_pattern = np.zeros_like(u_grid)
     mean_null = 0.0
     mean_peak = 0.0
-    for trial in range(n_trials):
-        rng = np.random.default_rng([model.seed, trial])
-        if model.phase_bits is not None:
-            step = 2 * math.pi / 2**model.phase_bits
-            dphi = rng.uniform(-0.5 * step, 0.5 * step, k)
-        else:
-            dphi = rng.normal(0.0, math.sqrt(d2), k) if d2 > 0 else np.zeros(k)
-        damp = 1.0 + (rng.normal(0.0, math.sqrt(model.amp_var), k)
-                      if model.amp_var > 0 else 0.0)
-        a_err = amp * damp * np.exp(-1j * dphi)
-        mean_null += np.mean(np.abs(phase_nulls @ a_err) ** 2)
-        mean_peak += abs(np.sum(a_err)) ** 2
+    for start in range(0, n_trials, _MC_BLOCK):
+        a_err = np.empty((min(_MC_BLOCK, n_trials - start), k), dtype=complex)
+        for row, trial in enumerate(range(start, start + len(a_err))):
+            rng = np.random.default_rng([model.seed, trial])
+            if model.phase_bits is not None:
+                step = 2 * math.pi / 2**model.phase_bits
+                dphi = rng.uniform(-0.5 * step, 0.5 * step, k)
+            else:
+                dphi = rng.normal(0.0, math.sqrt(d2), k) if d2 > 0 else np.zeros(k)
+            damp = 1.0 + (rng.normal(0.0, math.sqrt(model.amp_var), k)
+                          if model.amp_var > 0 else 0.0)
+            a_err[row] = amp * damp * np.exp(-1j * dphi)
+        nulls = np.mean(np.abs(a_err @ phase_nulls) ** 2, axis=1)
+        peaks = np.abs(np.sum(a_err, axis=1)) ** 2
+        for null, peak in zip(nulls, peaks):
+            mean_null += null
+            mean_peak += peak
         if mean_pattern is not None:
-            mean_pattern += np.abs(phase_grid @ a_err) ** 2
+            for pattern in np.abs(a_err @ phase_grid) ** 2:
+                mean_pattern += pattern
     mean_null /= n_trials
     mean_peak /= n_trials
     ratio = mean_null / mean_peak
@@ -458,9 +469,26 @@ def active_reflection(coupling: CouplingModel, excitation: ExcitationSet,
 # ---------------------------------------------------------------------------
 
 def _nearest_neighbor_mean(pos: np.ndarray) -> float:
-    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-    np.fill_diagonal(d2, np.inf)
-    return float(np.mean(np.sqrt(d2.min(axis=1))))
+    """Mean nearest-neighbour distance of points listed by non-decreasing
+    radius rho, in O(N) memory.
+
+    Pairs are visited by index offset o = 1, 2, ...; each forms its squared
+    distance exactly as an all-pairs scan would, so the per-point minima are
+    bit-identical. Since |p_i - p_j| >= |rho_i - rho_j| and rho is sorted,
+    once every pair at offset o has a radial gap beyond both its points'
+    best distance, no larger offset can improve any minimum. The 1e-12
+    margin covers rounding in rho.
+    """
+    rho = np.hypot(pos[:, 0], pos[:, 1])
+    best = np.full(len(pos), np.inf)
+    for o in range(1, len(pos)):
+        d2 = np.sum((pos[:-o] - pos[o:]) ** 2, axis=-1)
+        np.minimum(best[:-o], d2, out=best[:-o])
+        np.minimum(best[o:], d2, out=best[o:])
+        gap = rho[o:] - rho[:-o]
+        if np.all(gap * gap * (1.0 - 1e-12) > np.maximum(best[:-o], best[o:])):
+            break
+    return float(np.mean(np.sqrt(best)))
 
 
 def sparse_layout(kind: str, count: int, *, d: float | None = None,
@@ -468,7 +496,11 @@ def sparse_layout(kind: str, count: int, *, d: float | None = None,
     """Sparse array layouts with the 1/N average-sidelobe prediction.
 
     'regular': a linear grid with pitch d. 'sunflower': a Vogel spiral scaled
-    so the mean nearest-neighbor distance equals avg_spacing.
+    so the mean nearest-neighbor distance equals avg_spacing. The spiral
+    lists its points by increasing radius, and two points are at least
+    their radial gap apart, so the nearest-neighbour search stops at the
+    first index offset whose radial gaps all exceed the best distances
+    found: O(N) memory, and the same minima as an all-pairs search.
     """
     if count < 2:
         raise DomainError("need at least 2 elements")

@@ -249,7 +249,7 @@ def cmd_tline_gamma(args):
 
 
 def cmd_tline_zin(args):
-    lam = C0 / args.freq_hz if args.freq_hz else 1.0
+    lam = _wavelength(args.freq_hz)   # the default C0 gives lambda = 1 m
     beta = 2 * math.pi / lam
     spec = tline.TLineSpec(gamma=complex(args.alpha_np_m, beta), z0=complex(args.z0_ohm))
     zl = parse_complex(args.zl_ohm)

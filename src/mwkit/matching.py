@@ -138,6 +138,8 @@ def lumped_match_synthesize(z_load: complex, z_target: float, freq: float) -> di
     Returns up to two networks (element lists, source side first); each is
     verified by evaluation to land within |Gamma| < 1e-6 of z_target.
     """
+    if not (math.isfinite(freq) and freq > 0):
+        raise DomainError(f"freq must be finite and > 0, got {freq}")
     zl = complex(z_load)
     rt = float(z_target)
     if zl.real <= 0:

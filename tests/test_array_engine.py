@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,6 +318,65 @@ class TestDirectivityAndErrors:
             ae.error_statistics(ae.ExcitationSet(a=np.ones(8)),
                                 ae.ErrorModel(phase_var=0.5))
 
+    def test_negative_trial_count_rejected(self):
+        with pytest.raises(DomainError, match="n_trials"):
+            ae.error_statistics(ae.ExcitationSet(a=np.ones(4)), ae.ErrorModel(),
+                                n_trials=-1)
+
+
+def monte_carlo_per_trial(amp, model, dx_wl, n_trials, points):
+    """One matrix-vector product per trial, the draws of _error_monte_carlo."""
+    k = len(amp)
+    x = np.arange(k) * dx_wl
+    u_nulls = np.arange(1, min(k - 1, 8)) / (k * dx_wl)
+    phase_nulls = np.exp(2j * math.pi * np.multiply.outer(u_nulls, x))
+    u_grid = np.linspace(-1, 1, points) if points else np.zeros(0)
+    phase_grid = np.exp(2j * math.pi * np.multiply.outer(u_grid, x))
+    d2 = model.effective_phase_var()
+    mean_null = mean_peak = 0.0
+    pattern = np.zeros(len(u_grid))
+    for trial in range(n_trials):
+        rng = np.random.default_rng([model.seed, trial])
+        if model.phase_bits is not None:
+            step = 2 * math.pi / 2**model.phase_bits
+            dphi = rng.uniform(-0.5 * step, 0.5 * step, k)
+        else:
+            dphi = rng.normal(0.0, math.sqrt(d2), k) if d2 > 0 else np.zeros(k)
+        damp = 1.0 + (rng.normal(0.0, math.sqrt(model.amp_var), k)
+                      if model.amp_var > 0 else 0.0)
+        a_err = amp * damp * np.exp(-1j * dphi)
+        mean_null += np.mean(np.abs(phase_nulls @ a_err) ** 2)
+        mean_peak += abs(np.sum(a_err)) ** 2
+        pattern += np.abs(phase_grid @ a_err) ** 2
+    return mean_null / mean_peak, pattern / n_trials
+
+
+class TestMonteCarloBlocks:
+    """Trials run in blocks of stacked matrix products; the per-trial draws
+    and the order of the running sums are those of a per-trial loop."""
+
+    @pytest.mark.parametrize("n_trials", [1, 255, 257, 513])
+    @pytest.mark.parametrize("model", [
+        ae.ErrorModel(phase_bits=3, seed=1),
+        ae.ErrorModel(phase_var=0.01, seed=2),
+        ae.ErrorModel(phase_var=0.005, amp_var=0.01, seed=3),
+    ], ids=["bits", "phase-var", "amp-var"])
+    @pytest.mark.parametrize("points", [201, None])
+    def test_matches_per_trial_loop(self, n_trials, model, points):
+        amp = ae.taper_generate("taylor", 48, sll_db=30).astype(complex)
+        res = ae.error_statistics(ae.ExcitationSet(a=amp), model, n_trials=n_trials,
+                                  mean_pattern_points=points)["monte_carlo"]
+        ratio, pattern = monte_carlo_per_trial(amp, model, 0.5, n_trials, points)
+        assert res["n_trials"] == n_trials
+        assert res["avg_null_sll"] == pytest.approx(ratio, rel=1e-13)
+        if points is None:
+            assert "mean_pattern" not in res
+        else:
+            # pointwise relative to the pattern peak: the nulls of a single
+            # trial carry the cancellation error of the sum itself
+            np.testing.assert_allclose(res["mean_pattern"], pattern, rtol=0,
+                                       atol=1e-13 * pattern.max())
+
 
 class TestArraySnr:
     def test_k1_standard_receiver(self):
@@ -439,6 +499,48 @@ class TestSparseLayouts:
     def test_small_count_warns(self):
         with pytest.warns(UserWarning, match="large array"):
             ae.sparse_layout("sunflower", 8, avg_spacing=1.0)
+
+    @staticmethod
+    def vogel_spiral(count):
+        n = np.arange(count)
+        rr = np.sqrt(n + 0.5)
+        ang = n * ae.GOLDEN_ANGLE
+        return np.column_stack([rr * np.cos(ang), rr * np.sin(ang)])
+
+    @staticmethod
+    def all_pairs_mean(pos, rows=256):
+        best = np.empty(len(pos))
+        for s in range(0, len(pos), rows):
+            d2 = np.sum((pos[s:s + rows, None, :] - pos[None, :, :]) ** 2, axis=-1)
+            d2[np.arange(len(d2)), np.arange(s, s + len(d2))] = np.inf
+            best[s:s + rows] = d2.min(axis=1)
+        return float(np.mean(np.sqrt(best)))
+
+    def test_radial_sweep_equals_all_pairs(self):
+        for count in [*range(2, 401), 1000, 2584, 4000]:
+            pos = self.vogel_spiral(count)
+            assert ae._nearest_neighbor_mean(pos) == self.all_pairs_mean(pos), count
+
+    def test_radial_sweep_on_radius_sorted_points(self):
+        # any point set listed by radius, not only the spiral: the stop test
+        # must hold for both points of every pair
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            count = int(rng.integers(2, 13))
+            rr = np.sort(rng.uniform(0.0, 3.0, count))
+            ang = rng.uniform(0.0, 2 * math.pi, count)
+            pos = np.column_stack([rr * np.cos(ang), rr * np.sin(ang)])
+            assert ae._nearest_neighbor_mean(pos) == self.all_pairs_mean(pos)
+
+    def test_sunflower_memory_is_linear(self):
+        # an all-pairs search holds an (N, N, 2) array: 256 MB at N = 4000
+        tracemalloc.start()
+        try:
+            ae.sparse_layout("sunflower", 4000, avg_spacing=0.7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestCalibration:

@@ -133,6 +133,30 @@ class TestExitCodes:
         assert err.startswith("error: freq must be finite and > 0")
 
     @pytest.mark.parametrize("argv", [
+        ["tline", "zin", "--zl-ohm", "100,0", "--length-wl", "0.125", "--alpha-np-m", "0.5"],
+        ["match", "lumped", "--zl-ohm", "100,50", "--ztarget-ohm", "50"],
+    ], ids=["tline-zin", "match-lumped"])
+    @pytest.mark.parametrize("freq", ["0", "nan"])
+    def test_zero_or_nan_frequency_is_a_domain_error(self, capsys, argv, freq):
+        code, out, err = run(capsys, *argv, "--freq-hz", freq)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: freq must be finite and > 0")
+
+    def test_tline_zin_without_frequency_uses_one_metre(self, capsys):
+        code, out, _ = run(capsys, "tline", "zin", "--zl-ohm", "100,0",
+                           "--length-wl", "0.125", "--alpha-np-m", "0.5")
+        assert code == 0
+        assert out.splitlines()[1] == ("42.0358252474,-27.0737769026,-8.881784197e-18,"
+                                       "-0.294165634195,1.83352596146,10.6281612992")
+
+    def test_negative_trial_count_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "array", "errors", "--k", "4", "--trials", "-1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: n_trials must be >= 0")
+
+    @pytest.mark.parametrize("argv", [
         ["amp", "gains", "--zs-ohm", "50", "--zl-ohm", "50"],
         ["amp", "stability"],
         ["amp", "gain-circles", "--side", "source", "--gains-db", "1"],
@@ -339,9 +363,11 @@ class TestBytesIndependentOfBlasThreads:
         ["mom", "solve", "--half-length-wl", "0.25", *MOM_WIRE, "--segments", "641"],
         ["mom", "sweep", "--lengths-wl", "0.45,0.5,0.55", *MOM_WIRE, "--segments", "401"],
         ["array", "pattern", "--k", "32", "--l", "32", "--pad", "8"],
+        ["array", "errors", "--k", "256", "--bits", "3", "--trials", "2000", "--seed", "1"],
         ["net", "component", "--kind", "wilkinson_equal", "--f0-hz", "1e9",
          "--freqs-hz", "0.5e9,1e9,2e9"],
-    ], ids=["mom-solve-81", "mom-solve-641", "mom-sweep-401", "array-pattern", "net"])
+    ], ids=["mom-solve-81", "mom-solve-641", "mom-sweep-401", "array-pattern",
+            "array-errors", "net"])
     def test_one_and_two_threads_same_stdout(self, argv, child_env):
         procs = [subprocess.Popen([sys.executable, "-m", "mwkit.cli", *argv],
                                   env=dict(child_env, OPENBLAS_NUM_THREADS=threads),

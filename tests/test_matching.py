@@ -68,6 +68,11 @@ class TestLumpedMatch:
         values = [e.value for n in res["networks"] for e in n["elements"] if e.kind == "L"]
         assert any(v == pytest.approx(expect_l, rel=1e-9) for v in values)
 
+    @pytest.mark.parametrize("freq", [0.0, -1e9, math.nan, math.inf])
+    def test_frequency_must_be_finite_and_positive(self, freq):
+        with pytest.raises(DomainError, match="freq must be finite and > 0"):
+            matching.lumped_match_synthesize(100 + 50j, 50.0, freq)
+
     @given(rl=st.floats(5, 400), xl=st.floats(-200, 200), rt=st.floats(10, 200))
     @settings(max_examples=100, deadline=None)
     def test_synthesis_self_verifies(self, rl, xl, rt):
