@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,7 +217,8 @@ def single_stub_tuner(z_load: complex, z0: float, stub_kind: str = "shorted"):
     """Shunt single-stub tuner solutions (up to two), ordered by line length d.
 
     Each solution is verified by evaluating the full circuit at the design
-    frequency (|Gamma| < 1e-9).
+    frequency: |Gamma| < max(1e-9, 1e3 eps max(1, |Z_L|/z0, z0/|Z_L|)), or
+    DesignInfeasibleError.
     """
     if stub_kind not in ("shorted", "open"):
         raise DomainError("stub_kind must be 'shorted' or 'open'")
@@ -260,9 +262,14 @@ def single_stub_tuner(z_load: complex, z0: float, stub_kind: str = "shorted"):
         gamma = abs((z_in - z0) / (z_in + z0))
         solutions.append((StubSolution(d=d, l=l, stub_kind=stub_kind), gamma))
     solutions.sort(key=lambda sg: sg[0].d)
+    # rounding leaves |Gamma| of order eps times the load's mismatch to z0
+    # (|Gamma| = 4.6e-9 at 1e9 ohm on 50 ohm); 1e-9 is the floor
+    mismatch = max(1.0, abs(zl) / z0, z0 / abs(zl))
+    tol = max(1e-9, 1e3 * sys.float_info.epsilon * mismatch)
     for _, gamma in solutions:
-        if gamma >= 1e-9:
-            raise RuntimeError(f"stub synthesis self-check failed (|Gamma| = {gamma:g})")
+        if not gamma < tol:
+            raise DesignInfeasibleError(f"stub synthesis self-check failed: |Gamma| = "
+                                        f"{gamma:g}, tolerance {tol:g}")
     return {"solutions": [s for s, _ in solutions], "reason": None}
 
 

@@ -11,6 +11,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -312,110 +313,196 @@ def _electrical_angle(params: dict, f: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _UNIT_SCALE = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
+# Token count of one frequency point, 1 + 2 n^2, to its port count.
+_PORTS_OF_POINT = {3: 1, 9: 2, 19: 3, 33: 4}
+# On text of only these bytes (decimal and inf/infinity literals and
+# whitespace), np.fromstring reads every token exactly as float() does, or
+# raises, or returns a different count. No 'a': np.fromstring takes
+# 'nan(...)', which float() rejects, and drops the sign of '-nan'.
+_BULK_BYTES = b"0123456789.+-eEiInNfFtTyY \t\n"
+_WRITE_CHUNK = 2048  # frequencies formatted per block of columns
+
+
+def _parse_options(line: str, line_no: int) -> tuple:
+    """(unit, kind, fmt, zref) of one '#' option line."""
+    unit, kind, fmt, zref = "GHZ", "S", "MA", 50.0
+    parts = line.lstrip()[1:].upper().split()
+    i = 0
+    while i < len(parts):
+        p = parts[i]
+        if p in _UNIT_SCALE:
+            unit = p
+        elif p in ("S", "Z", "Y"):
+            kind = p
+        elif p in ("G", "H"):
+            raise ParseError(f"unsupported parameter kind {p}", line_no)
+        elif p in ("RI", "MA", "DB"):
+            fmt = p
+        elif p == "R":
+            if i + 1 >= len(parts):
+                raise ParseError("option 'R' needs a value", line_no)
+            zref = float(parts[i + 1])
+            i += 1
+        else:
+            raise ParseError(f"unknown option token {p!r}", line_no)
+        i += 1
+    return unit, kind, fmt, zref
+
+
+def _bulk_floats(body: str, count: int) -> np.ndarray | None:
+    """Every token of ``body`` by one np.fromstring, or None unless that
+    provably equals float() token by token (see _BULK_BYTES)."""
+    if not body.isascii() or body.encode().translate(None, _BULK_BYTES):
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)  # numpy 1.x
+        try:
+            values = np.fromstring(body, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    return values if values.size == count else None
+
+
+def _token_floats(lines: list) -> np.ndarray:
+    """float() of every token; the first bad token is a ParseError."""
+    values = []
+    for line_no, line in enumerate(lines, start=1):
+        for tok in line.split():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ParseError(f"bad numeric token {tok!r}", line_no) from None
+    return np.array(values)
+
+
+def _rect(r: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """cmath.rect over arrays, bit for bit (its special values included)."""
+    z = np.empty(r.shape, dtype=complex)
+    with np.errstate(invalid="ignore"):  # inf * 0; non-finite input is redone below
+        z.real = r * np.cos(phi)
+        z.imag = r * np.sin(phi)
+    odd = ~(np.isfinite(r) & np.isfinite(phi))
+    if odd.any():
+        z[odd] = list(map(cmath.rect, r[odd].tolist(), phi[odd].tolist()))
+    return z
 
 
 def touchstone_read(text: str, n_ports: int | None = None) -> NPortParams:
     """Parse a version-1 Touchstone file body (1 to 4 ports).
 
-    The port count is taken from ``n_ports`` or inferred from the token count
-    of the first frequency block. Noise-parameter blocks are skipped with a
-    warning. Accepts any line wrapping of the data values.
+    Points are framed by line structure (Touchstone File Format
+    Specification 1.1): a line with an odd token count (the frequency plus
+    pairs) starts a frequency point, and the lines after it with an even
+    count continue it. The first point's token count, 1 + 2n^2, gives the
+    port count n; ``n_ports``, when given, must agree with it. Every point
+    must hold that many tokens.
+
+    Frequencies must ascend. Only in a 2-port file does a point whose
+    frequency is <= the previous one start the noise-parameter block, which
+    is skipped with a warning; in any other file it is a ParseError.
     """
-    unit = "GHZ"
-    kind = "S"
-    fmt = "MA"
-    zref = 50.0
-    tokens: list[tuple[float, int]] = []
-    option_seen = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if option_seen:
-                raise ParseError("duplicate option line", line_no)
-            option_seen = True
-            parts = line[1:].upper().split()
-            i = 0
-            while i < len(parts):
-                p = parts[i]
-                if p in _UNIT_SCALE:
-                    unit = p
-                elif p in ("S", "Z", "Y"):
-                    kind = p
-                elif p in ("G", "H"):
-                    raise ParseError(f"unsupported parameter kind {p}", line_no)
-                elif p in ("RI", "MA", "DB"):
-                    fmt = p
-                elif p == "R":
-                    if i + 1 >= len(parts):
-                        raise ParseError("option 'R' needs a value", line_no)
-                    zref = float(parts[i + 1])
-                    i += 1
-                else:
-                    raise ParseError(f"unknown option token {p!r}", line_no)
-                i += 1
-            continue
-        for tok in line.split():
-            try:
-                tokens.append((float(tok), line_no))
-            except ValueError:
-                raise ParseError(f"bad numeric token {tok!r}", line_no) from None
-    if not tokens:
+    lines = text.splitlines()
+    if "!" in text:
+        lines = [line.partition("!")[0] for line in lines]
+    body = "\n".join(lines)  # line i is the text after the i-th "\n"
+    unit, kind, fmt, zref = "GHZ", "S", "MA", 50.0
+    option = None
+    pos = body.find("#")
+    while pos >= 0:
+        i = body.count("\n", 0, pos)
+        if lines[i].lstrip().startswith("#"):
+            if option is not None:
+                raise ParseError("duplicate option line", i + 1)
+            option = i
+            unit, kind, fmt, zref = _parse_options(lines[i], i + 1)
+        end = body.find("\n", pos)
+        pos = -1 if end < 0 else body.find("#", end)
+    if option is not None:
+        lines[option] = ""
+        body = "\n".join(lines)
+
+    counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
+    data = np.flatnonzero(counts)
+    if data.size == 0:
         raise ParseError("no data found", 1)
+    first = int(data[0])
+    if counts[first] % 2 == 0:
+        raise ParseError("data before the first frequency (an even token count)",
+                         first + 1)
+    n_tokens = int(counts.sum())
+    values = _bulk_floats(body, n_tokens)
+    if values is None:
+        values = _token_floats(lines)
 
-    if n_ports is None:
-        # v1 heuristic: a 1/2-port line holds freq + 2n^2 values
-        first_line = tokens[0][1]
-        count = sum(1 for _, ln in tokens if ln == first_line) - 1
-        for n in (1, 2, 3, 4):
-            if count == 2 * n * n:
-                n_ports = n
-                break
-        else:
-            if count in (6, 8):  # wrapped 3/4-port rows
-                n_ports = count // 2
-            else:
-                raise ParseError(f"cannot infer port count from {count} values "
-                                 "on the first data line", first_line)
-    if n_ports not in (1, 2, 3, 4):
-        raise ParseError(f"unsupported port count {n_ports}", tokens[0][1])
+    # a point starts at each odd line and runs to the next one
+    start_lines = np.flatnonzero(counts % 2 == 1)
+    starts = (np.cumsum(counts) - counts)[start_lines]
+    sizes = np.diff(starts, append=n_tokens)
+    n = _PORTS_OF_POINT.get(int(sizes[0]))
+    if n is None:
+        raise ParseError(f"cannot infer port count from {sizes[0] - 1} values "
+                         "in the first frequency point", first + 1)
+    if n_ports is not None and n_ports != n:
+        raise ParseError(f"{n_ports} ports expected, but the first frequency point "
+                         f"holds {sizes[0] - 1} values ({n} ports)", first + 1)
 
-    per_point = 1 + 2 * n_ports * n_ports
-    freqs, mats = [], []
-    i = 0
-    while i < len(tokens):
-        if i + per_point > len(tokens):
-            raise ParseError("wrong token count in frequency block", tokens[i][1])
-        block = [t for t, _ in tokens[i:i + per_point]]
-        line_no = tokens[i][1]
-        f = block[0] * _UNIT_SCALE[unit]
-        if freqs and f <= freqs[-1]:
-            warnings.warn("non-ascending frequency: noise-parameter block "
-                          "skipped", stacklevel=2)
-            break
-        vals = block[1:]
-        cplx = []
-        for k in range(0, len(vals), 2):
-            a, b = vals[k], vals[k + 1]
-            if fmt == "RI":
-                cplx.append(complex(a, b))
-            elif fmt == "MA":
-                cplx.append(cmath.rect(a, math.radians(b)))
-            else:  # DB
-                cplx.append(cmath.rect(10 ** (a / 20.0), math.radians(b)))
-        m = np.array(cplx, dtype=complex).reshape(n_ports, n_ports)
-        if n_ports == 2:
-            m = m.T  # v1 2-port order is S11 S21 S12 S22
-        freqs.append(f)
-        mats.append(m)
-        i += per_point
-        _ = line_no
-    return NPortParams(kind, np.array(freqs), np.array(mats), z_ref=zref)
+    freqs = values[starts] * _UNIT_SCALE[unit]
+    falls = np.flatnonzero(freqs[1:] <= freqs[:-1]) + 1
+    n_points = len(starts)
+    if falls.size and n == 2:
+        warnings.warn("non-ascending frequency: noise-parameter block "
+                      "skipped", stacklevel=2)
+        n_points = int(falls[0])
+    per_point = 1 + 2 * n * n
+    wrong = np.flatnonzero(sizes[:n_points] != per_point)
+    if wrong.size:
+        raise ParseError("wrong token count in frequency point",
+                         int(start_lines[wrong[0]]) + 1)
+    if falls.size and n != 2:
+        raise ParseError("non-ascending frequency", int(start_lines[falls[0]]) + 1)
+
+    block = values[:n_points * per_point].reshape(n_points, per_point)
+    a, b = block[:, 1::2], block[:, 2::2]
+    if fmt == "RI":
+        m = np.empty(a.shape, dtype=complex)
+        m.real, m.imag = a, b
+    else:
+        if fmt == "DB":  # 10 ** x as Python computes it; np.power rounds differently
+            a = np.fromiter(map(math.pow, repeat(10.0), (a / 20.0).ravel().tolist()),
+                            dtype=float, count=a.size).reshape(a.shape)
+        m = _rect(a, b * (math.pi / 180.0))  # math.radians
+    m = m.reshape(n_points, n, n)
+    if n == 2:
+        m = m.transpose(0, 2, 1).copy()  # v1 2-port order is S11 S21 S12 S22
+    return NPortParams(kind, freqs[:n_points], m, z_ref=zref)
+
+
+def _write_pairs(z: np.ndarray, fmt: str) -> tuple:
+    """The two value columns of ``fmt`` for complex ``z``, bit-equal per
+    value to abs(), math.degrees(math.atan2()) and 20 * math.log10(); atan2
+    is cmath.phase without its OverflowError on an underflowing angle."""
+    re, im = z.real, z.imag
+    if fmt == "RI":
+        return re, im
+    # np.arctan2 and np.log10 round differently from libm on some values
+    ang = np.fromiter(map(math.atan2, im.ravel().tolist(), re.ravel().tolist()),
+                      dtype=float, count=z.size).reshape(z.shape) * (180.0 / math.pi)
+    mag = np.hypot(re, im)
+    if fmt == "MA":
+        return mag, ang
+    zero = mag == 0
+    log = np.fromiter(map(math.log10, np.where(zero, 1.0, mag).ravel().tolist()),
+                      dtype=float, count=z.size).reshape(z.shape)
+    db = 20.0 * log
+    db[zero] = -math.inf
+    return db, ang
 
 
 def touchstone_write(params: NPortParams, fmt: str = "MA", unit: str = "GHZ") -> str:
-    """Serialize to Touchstone v1 text (row-per-line wrapping for 3/4 ports)."""
+    """Serialize to Touchstone v1 text: one line per frequency for 1 and 2
+    ports, one line per matrix row for 3 and 4 ports. Values are "%.12g";
+    the columns are computed on blocks of _WRITE_CHUNK frequencies, so
+    memory stays bounded at any frequency count."""
     fmt = fmt.upper()
     unit = unit.upper()
     if fmt not in ("RI", "MA", "DB"):
@@ -426,25 +513,15 @@ def touchstone_write(params: NPortParams, fmt: str = "MA", unit: str = "GHZ") ->
     if n > 4:
         raise DomainError("touchstone v1 writer supports up to 4 ports")
     zr = params.uniform_z_ref()
-    lines = [f"# {unit} {params.kind} {fmt} R {zr:g}"]
-
-    def fmt_val(c: complex) -> str:
-        if fmt == "RI":
-            return f"{c.real:.12g} {c.imag:.12g}"
-        mag, ang = abs(c), math.degrees(cmath.phase(c))
-        if fmt == "MA":
-            return f"{mag:.12g} {ang:.12g}"
-        db = -math.inf if mag == 0 else 20 * math.log10(mag)
-        return f"{db:.12g} {ang:.12g}"
-
-    for f, m in zip(params.freqs, params.matrices):
-        mm = m.T if n == 2 else m
-        fval = f / _UNIT_SCALE[unit]
-        if n <= 2:
-            row = " ".join(fmt_val(c) for c in mm.flatten())
-            lines.append(f"{fval:.12g} {row}")
-        else:
-            for r in range(n):
-                row = " ".join(fmt_val(c) for c in mm[r])
-                lines.append((f"{fval:.12g} " if r == 0 else "  ") + row)
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%.12g"] * (2 * n))
+    point = "%.12g " + (" " if n <= 2 else "\n  ").join([row] * n)
+    out = [f"# {unit} {params.kind} {fmt} R {zr:g}"]
+    for lo in range(0, len(params.freqs), _WRITE_CHUNK):
+        m = params.matrices[lo:lo + _WRITE_CHUNK]
+        if n == 2:
+            m = m.transpose(0, 2, 1)
+        cols = np.empty((len(m), 1 + 2 * n * n))
+        cols[:, 0] = params.freqs[lo:lo + _WRITE_CHUNK] / _UNIT_SCALE[unit]
+        cols[:, 1::2], cols[:, 2::2] = _write_pairs(m.reshape(len(m), n * n), fmt)
+        out += map(point.__mod__, map(tuple, cols.tolist()))
+    return "\n".join(out) + "\n"

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mwkit import cli, network
+from mwkit import cli, matching, network
 from mwkit import radiator as rad
 
 
@@ -214,6 +214,35 @@ class TestCommands:
         row = read_csv(out)[0]
         for key in ("z11_re", "z12_re", "z21_re", "z22_re"):
             assert float(row[key]) == pytest.approx(50.0, abs=1e-6)
+
+    def test_net_convert_four_port_without_extension_hint(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        m = 0.2 * (rng.uniform(-1, 1, (2, 4, 4)) + 1j * rng.uniform(-1, 1, (2, 4, 4)))
+        text = network.touchstone_write(network.NPortParams("S", [1e9, 2e9], m), "RI")
+        path = tmp_path / "four_port.txt"
+        path.write_text(text)
+        code, out, _ = run(capsys, "net", "convert", "--in", str(path), "--to", "s")
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 2
+        assert float(rows[1]["s44_re"]) == pytest.approx(m[1, 3, 3].real, abs=1e-9)
+        assert float(rows[0]["s23_im"]) == pytest.approx(m[0, 1, 2].imag, abs=1e-9)
+        misnamed = tmp_path / "four_port.s2p"
+        misnamed.write_text(text)
+        code, out, err = run(capsys, "net", "convert", "--in", str(misnamed), "--to", "s")
+        assert code == 1
+        assert out == "" and "line 2" in err
+
+    def test_match_stub_extreme_load(self, capsys, monkeypatch):
+        code, out, _ = run(capsys, "match", "stub", "--zl-ohm", "1e9")
+        assert code == 0
+        assert len(read_csv(out)) == 2
+        line = matching._line_input_impedance
+        monkeypatch.setattr(matching, "_line_input_impedance",
+                            lambda zl, z0, bl: 1.01 * line(zl, z0, bl))
+        code, out, err = run(capsys, "match", "stub", "--zl-ohm", "100,-60")
+        assert code == 1
+        assert out == "" and "self-check" in err
 
     def test_net_component_writes_touchstone(self, tmp_path, capsys):
         path = tmp_path / "w.s3p"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +113,31 @@ class TestSingleStub:
             assert 0 <= s.d < 0.5
             assert 0 < s.l < 0.5
 
+
+    @pytest.mark.parametrize("zl", [1e9, 1e-6])
+    @pytest.mark.parametrize("kind", ["shorted", "open"])
+    def test_extreme_real_load_verifies(self, zl, kind):
+        # the designed circuit, evaluated in 50-digit arithmetic, is matched
+        # to within rounding times the load's mismatch to z0
+        sols = matching.single_stub_tuner(zl, 50.0, kind)["solutions"]
+        assert len(sols) == 2
+        with mp.workdps(50):
+            z0, load = mp.mpf(50), mp.mpf(zl)
+            for s in sols:
+                t = mp.tan(2 * mp.pi * mp.mpf(s.d))
+                z_line = z0 * (load + 1j * z0 * t) / (z0 + 1j * load * t)
+                tl = mp.tan(2 * mp.pi * mp.mpf(s.l))
+                y_stub = -1j / (z0 * tl) if kind == "shorted" else 1j * tl / z0
+                z_in = 1 / (1 / z_line + y_stub)
+                gamma = abs((z_in - z0) / (z_in + z0))
+                assert gamma < 1e3 * np.finfo(float).eps * max(zl / 50.0, 50.0 / zl)
+
+    def test_failed_self_check_is_a_package_error(self, monkeypatch):
+        line = matching._line_input_impedance
+        monkeypatch.setattr(matching, "_line_input_impedance",
+                            lambda zl, z0, bl: 1.01 * line(zl, z0, bl))
+        with pytest.raises(matching.DesignInfeasibleError, match="self-check"):
+            matching.single_stub_tuner(100 - 60j, 50.0, "shorted")
 
 class TestRichardKuroda:
     proto = matching.BUILTIN_PROTOTYPES[("maximally_flat", 3)]

@@ -1,4 +1,6 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -340,6 +342,146 @@ class TestTouchstone:
     def test_ascending_grid_enforced(self):
         with pytest.raises(DomainError):
             net.NPortParams("S", np.array([2e9, 1e9]), np.zeros((2, 2, 2), complex))
+
+    def test_four_port_framed_by_line_structure(self):
+        # a v1 4-port's first line holds the frequency plus 8 values, like a
+        # 2-port; only the even-count continuation lines tell them apart
+        rng = np.random.default_rng(4)
+        m = 0.3 * (rng.uniform(-1, 1, (3, 4, 4)) + 1j * rng.uniform(-1, 1, (3, 4, 4)))
+        src = net.NPortParams("S", np.array([1e9, 2e9, 3e9]), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = net.touchstone_read(net.touchstone_write(src, "RI"))
+        assert back.matrices.shape == (3, 4, 4)
+        np.testing.assert_allclose(back.matrices, m, rtol=1e-11)
+
+    @pytest.mark.parametrize("noise_lines", [1, 2])
+    def test_two_port_noise_block_of_five_token_lines(self, noise_lines):
+        s_data = ["1 0.5 45 0.1 0 0.1 0 0.5 45", "2 0.4 40 0.2 10 0.2 10 0.4 40",
+                  "3 0.3 35 0.3 20 0.3 20 0.3 35"]
+        noise = ["1 1.2 0.30 45 0.25", "2.5 1.5 0.35 60 0.30"][:noise_lines]
+        text = "# GHZ S MA R 50\n" + "\n".join(s_data + noise) + "\n"
+        with pytest.warns(UserWarning, match="noise"):
+            p = net.touchstone_read(text)
+        np.testing.assert_array_equal(p.freqs, [1e9, 2e9, 3e9])
+        assert p.matrices[2, 1, 0] == cmath.rect(0.3, math.radians(20))
+
+    def test_non_ascending_frequency_outside_two_port_names_its_line(self):
+        row = "  0.1 0 0.2 0 0.3 0"
+        text = ("# GHZ S RI R 50\n"
+                + "".join(f"{f} 0.1 0 0.2 0 0.3 0\n{row}\n{row}\n" for f in (1, 2, 2, 3)))
+        with pytest.raises(net.ParseError) as exc:
+            net.touchstone_read(text)
+        assert exc.value.line_no == 8
+        one_port = "# GHZ S RI R 50\n1 0.1 0\n3 0.1 0\n2 0.1 0\n"
+        with pytest.raises(net.ParseError) as exc:
+            net.touchstone_read(one_port)
+        assert exc.value.line_no == 4
+
+    def test_port_count_hint_must_match_framing(self):
+        src = net.component_sparams("wilkinson_equal", {"f0": 1e9},
+                                    np.array([0.6e9, 1e9]), 50.0)
+        text = net.touchstone_write(src, "RI")
+        for hint in (1, 2, 4):
+            with pytest.raises(net.ParseError) as exc:
+                net.touchstone_read(text, n_ports=hint)
+            assert exc.value.line_no == 2
+        with pytest.raises(net.ParseError):
+            net.touchstone_read("# GHZ S RI R 50\n1 0.1 0\n", n_ports=2)
+
+    @pytest.mark.parametrize("tok", ["1_000", "1-2", "0x10", "-inf", "1e400", "bogus",
+                                     "-nan", "nan(1)", "Infinity", "1e-400", "+.5e1"])
+    def test_numeric_tokens_are_what_float_accepts(self, tok):
+        text = f"# GHZ S RI R 50\n1 {tok} 0\n2 0.25 {tok}\n"
+        try:
+            x = float(tok)
+        except ValueError:
+            with pytest.raises(net.ParseError) as exc:
+                net.touchstone_read(text)
+            assert exc.value.line_no == 2
+            return
+        p = net.touchstone_read(text)
+        expect = np.array([complex(x, 0), complex(0.25, x)])
+        assert p.matrices[:, 0, 0].tobytes() == expect.tobytes()
+
+    def test_ma_and_db_special_values_as_cmath_rect(self):
+        pairs = [("inf", "0"), ("inf", "45"), ("-inf", "180"), ("0", "0"), ("1e-320", "-0")]
+        for fmt in ("MA", "DB"):
+            text = f"# GHZ S {fmt} R 50\n" + "".join(
+                f"{k + 1} {a} {b}\n" for k, (a, b) in enumerate(pairs))
+            p = net.touchstone_read(text)
+            mags = [float(a) if fmt == "MA" else 10 ** (float(a) / 20.0) for a, _ in pairs]
+            expect = np.array([cmath.rect(r, math.radians(float(b)))
+                               for r, (_, b) in zip(mags, pairs)])
+            assert p.matrices[:, 0, 0].tobytes() == expect.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), fmt=st.sampled_from(["RI", "MA", "DB"]),
+           unit=st.sampled_from(["HZ", "KHZ", "MHZ", "GHZ"]),
+           khz=st.lists(st.integers(1, 10 ** 9), min_size=1, max_size=5, unique=True),
+           data=st.data())
+    def test_round_trip_without_hint(self, n, fmt, unit, khz, data):
+        freqs = np.array(sorted(khz)) * 1e3
+        parts = st.floats(-1e3, 1e3, allow_nan=False)
+        vals = data.draw(st.lists(st.tuples(parts, parts), min_size=len(freqs) * n * n,
+                                  max_size=len(freqs) * n * n))
+        zero = data.draw(st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0)]))
+        vals[data.draw(st.integers(0, len(vals) - 1))] = (zero.real, zero.imag)
+        m = np.array([complex(a, b) for a, b in vals]).reshape(len(freqs), n, n)
+        src = net.NPortParams("S", freqs, m)
+        text = net.touchstone_write(src, fmt, unit)
+        assert text == _scalar_touchstone_write(src, fmt, unit)
+        back = net.touchstone_read(text)
+        ref_freqs, ref_m = _scalar_touchstone_read(text, n)
+        assert back.freqs.tobytes() == ref_freqs.tobytes()
+        assert back.matrices.tobytes() == ref_m.tobytes()
+        np.testing.assert_allclose(back.freqs, freqs, rtol=1e-11)
+        np.testing.assert_allclose(back.matrices, m, rtol=1e-9, atol=1e-9)
+
+
+def _scalar_touchstone_write(params, fmt, unit):
+    """Touchstone v1 text built one value at a time from the definitions."""
+    scale = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}[unit]
+    lines = [f"# {unit} {params.kind} {fmt} R {params.z_ref[0]:g}"]
+    n = params.n_ports
+
+    def pair(c):
+        if fmt == "RI":
+            return f"{c.real:.12g} {c.imag:.12g}"
+        # math.atan2 is cmath.phase without its underflow OverflowError
+        mag, ang = abs(complex(c)), math.degrees(math.atan2(c.imag, c.real))
+        if fmt == "DB":
+            mag = -math.inf if mag == 0 else 20 * math.log10(mag)
+        return f"{mag:.12g} {ang:.12g}"
+
+    for f, m in zip(params.freqs, params.matrices):
+        rows = [m.T.flatten()] if n == 2 else [m.flatten()] if n == 1 else list(m)
+        for r, row in enumerate(rows):
+            lead = f"{f / scale:.12g} " if r == 0 else "  "
+            lines.append(lead + " ".join(pair(c) for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def _scalar_touchstone_read(text, n):
+    """(freqs, matrices) of writer output, one token at a time."""
+    head, *body = text.splitlines()
+    unit, fmt = head.split()[1], head.split()[3]
+    scale = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}[unit]
+    toks = [float(t) for line in body for t in line.split()]
+    per = 1 + 2 * n * n
+    freqs, mats = [], []
+    for i in range(0, len(toks), per):
+        freqs.append(toks[i] * scale)
+        vals = []
+        for a, b in zip(toks[i + 1:i + per:2], toks[i + 2:i + per:2]):
+            if fmt == "RI":
+                vals.append(complex(a, b))
+            else:
+                mag = a if fmt == "MA" else 10 ** (a / 20.0)
+                vals.append(cmath.rect(mag, math.radians(b)))
+        m = np.array(vals).reshape(n, n)
+        mats.append(m.T if n == 2 else m)
+    return np.array(freqs), np.array(mats)
 
 
 class TestNearSingularTermination:
