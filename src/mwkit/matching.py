@@ -217,8 +217,8 @@ def single_stub_tuner(z_load: complex, z0: float, stub_kind: str = "shorted"):
     """Shunt single-stub tuner solutions (up to two), ordered by line length d.
 
     Each solution is verified by evaluating the full circuit at the design
-    frequency: |Gamma| < max(1e-9, 1e3 eps max(1, |Z_L|/z0, z0/|Z_L|)), or
-    DesignInfeasibleError.
+    frequency: |Gamma| < min(max(1e-9, 1e3 eps max(1, |Z_L|/z0, z0/|Z_L|)),
+    1e-6), or DesignInfeasibleError.
     """
     if stub_kind not in ("shorted", "open"):
         raise DomainError("stub_kind must be 'shorted' or 'open'")
@@ -263,9 +263,10 @@ def single_stub_tuner(z_load: complex, z0: float, stub_kind: str = "shorted"):
         solutions.append((StubSolution(d=d, l=l, stub_kind=stub_kind), gamma))
     solutions.sort(key=lambda sg: sg[0].d)
     # rounding leaves |Gamma| of order eps times the load's mismatch to z0
-    # (|Gamma| = 4.6e-9 at 1e9 ohm on 50 ohm); 1e-9 is the floor
+    # (|Gamma| = 4.6e-9 at 1e9 ohm on 50 ohm); 1e-9 is the floor, and a load
+    # so mismatched that rounding alone exceeds 1e-6 is not matched
     mismatch = max(1.0, abs(zl) / z0, z0 / abs(zl))
-    tol = max(1e-9, 1e3 * sys.float_info.epsilon * mismatch)
+    tol = min(max(1e-9, 1e3 * sys.float_info.epsilon * mismatch), 1e-6)
     for _, gamma in solutions:
         if not gamma < tol:
             raise DesignInfeasibleError(f"stub synthesis self-check failed: |Gamma| = "

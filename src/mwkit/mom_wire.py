@@ -35,7 +35,6 @@ rounding.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -234,17 +233,6 @@ def mom_far_field(solution: MoMSolution, theta) -> FarFieldSample:
     return FarFieldSample(e_theta=e_theta, e_phi=np.zeros_like(np.asarray(e_theta)))
 
 
-@functools.lru_cache(maxsize=64)
-def _gauss_legendre(n: int) -> tuple:
-    """Read-only (nodes, weights) of the n-node Gauss-Legendre rule on
-    [-1, 1]. numpy's leggauss polishes them in Python, about 0.7 ms at 39
-    nodes, while a sweep asks for the same few n over and over."""
-    u, w = np.polynomial.legendre.leggauss(n)
-    u.flags.writeable = False
-    w.flags.writeable = False
-    return u, w
-
-
 def radiated_power(solution: MoMSolution, n_theta: int | None = None) -> float:
     """Total power radiated by the solved current, from the far field.
 
@@ -255,7 +243,7 @@ def radiated_power(solution: MoMSolution, n_theta: int | None = None) -> float:
     prob = solution.problem
     if n_theta is None:
         n_theta = int(2 * prob.k0 * prob.half_length_l) + 30
-    u, w = _gauss_legendre(n_theta)
+    u, w = np.polynomial.legendre.leggauss(n_theta)
     e = mom_far_field(solution, np.arccos(u)).e_theta
     return 2 * math.pi * float(w @ np.abs(e) ** 2) / (2 * ETA0)
 

@@ -404,22 +404,15 @@ def touchstone_read(text: str, n_ports: int | None = None) -> NPortParams:
     lines = text.splitlines()
     if "!" in text:
         lines = [line.partition("!")[0] for line in lines]
-    body = "\n".join(lines)  # line i is the text after the i-th "\n"
     unit, kind, fmt, zref = "GHZ", "S", "MA", 50.0
-    option = None
-    pos = body.find("#")
-    while pos >= 0:
-        i = body.count("\n", 0, pos)
-        if lines[i].lstrip().startswith("#"):
-            if option is not None:
-                raise ParseError("duplicate option line", i + 1)
-            option = i
-            unit, kind, fmt, zref = _parse_options(lines[i], i + 1)
-        end = body.find("\n", pos)
-        pos = -1 if end < 0 else body.find("#", end)
-    if option is not None:
-        lines[option] = ""
-        body = "\n".join(lines)
+    options = [i for i, line in enumerate(lines)  # "in" first: it is the cheap test
+               if "#" in line and line.lstrip().startswith("#")]
+    if options:
+        unit, kind, fmt, zref = _parse_options(lines[options[0]], options[0] + 1)
+        if len(options) > 1:
+            raise ParseError("duplicate option line", options[1] + 1)
+        lines[options[0]] = ""
+    body = "\n".join(lines)  # line i is the text after the i-th "\n"
 
     counts = np.fromiter(map(len, map(str.split, lines)), dtype=np.intp, count=len(lines))
     data = np.flatnonzero(counts)

@@ -237,6 +237,9 @@ class TestCommands:
         code, out, _ = run(capsys, "match", "stub", "--zl-ohm", "1e9")
         assert code == 0
         assert len(read_csv(out)) == 2
+        code, out, err = run(capsys, "match", "stub", "--zl-ohm", "1e9,1e12")
+        assert code == 1
+        assert out == "" and "self-check" in err
         line = matching._line_input_impedance
         monkeypatch.setattr(matching, "_line_input_impedance",
                             lambda zl, z0, bl: 1.01 * line(zl, z0, bl))

@@ -1,6 +1,5 @@
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,21 +115,27 @@ class TestSingleStub:
 
     @pytest.mark.parametrize("zl", [1e9, 1e-6])
     @pytest.mark.parametrize("kind", ["shorted", "open"])
-    def test_extreme_real_load_verifies(self, zl, kind):
-        # the designed circuit, evaluated in 50-digit arithmetic, is matched
-        # to within rounding times the load's mismatch to z0
-        sols = matching.single_stub_tuner(zl, 50.0, kind)["solutions"]
-        assert len(sols) == 2
-        with mp.workdps(50):
-            z0, load = mp.mpf(50), mp.mpf(zl)
-            for s in sols:
-                t = mp.tan(2 * mp.pi * mp.mpf(s.d))
-                z_line = z0 * (load + 1j * z0 * t) / (z0 + 1j * load * t)
-                tl = mp.tan(2 * mp.pi * mp.mpf(s.l))
-                y_stub = -1j / (z0 * tl) if kind == "shorted" else 1j * tl / z0
-                z_in = 1 / (1 / z_line + y_stub)
-                gamma = abs((z_in - z0) / (z_in + z0))
-                assert gamma < 1e3 * np.finfo(float).eps * max(zl / 50.0, 50.0 / zl)
+    def test_extreme_real_load_matches_closed_form(self, zl, kind):
+        # real load R on z0: tan(beta d) = +-sqrt(R/z0), and the line leaves
+        # a susceptance b with b z0 = tan(beta d) (R - z0) / R for the stub
+        # to cancel (Pozar 5.2)
+        z0 = 50.0
+        want = []
+        for t in (math.sqrt(zl / z0), -math.sqrt(zl / z0)):
+            bz = t * (zl - z0) / zl
+            bl = math.atan2(1.0, bz) if kind == "shorted" else math.atan(-bz)
+            want.append((math.atan(t) / (2 * math.pi) % 0.5,
+                         (bl if bl > 0 else bl + math.pi) / (2 * math.pi)))
+        sols = matching.single_stub_tuner(zl, z0, kind)["solutions"]
+        assert [(s.d, s.l) for s in sols] == [
+            (pytest.approx(d, rel=1e-11), pytest.approx(l, rel=1e-11))
+            for d, l in sorted(want)]
+
+    def test_mismatch_beyond_rounding_is_infeasible(self):
+        # |Z_L| ~ 1e12 ohm with Q = 1000: rounding alone leaves |Gamma| of
+        # about 3e-3, which no eps-scaled tolerance may pass as a match
+        with pytest.raises(matching.DesignInfeasibleError, match="self-check"):
+            matching.single_stub_tuner(1e9 + 1e12j, 50.0, "shorted")
 
     def test_failed_self_check_is_a_package_error(self, monkeypatch):
         line = matching._line_input_impedance
@@ -138,6 +143,7 @@ class TestSingleStub:
                             lambda zl, z0, bl: 1.01 * line(zl, z0, bl))
         with pytest.raises(matching.DesignInfeasibleError, match="self-check"):
             matching.single_stub_tuner(100 - 60j, 50.0, "shorted")
+
 
 class TestRichardKuroda:
     proto = matching.BUILTIN_PROTOTYPES[("maximally_flat", 3)]

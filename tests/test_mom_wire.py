@@ -275,16 +275,6 @@ class TestFarField:
         assert mom.radiated_power(sol) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
-    def test_gauss_legendre_rule_is_cached_read_only(self):
-        u, w = mom._gauss_legendre(37)
-        u0, w0 = np.polynomial.legendre.leggauss(37)
-        assert u.tobytes() == u0.tobytes() and w.tobytes() == w0.tobytes()
-        assert not u.flags.writeable and not w.flags.writeable
-        again = mom._gauss_legendre(37)
-        assert again[0] is u and again[1] is w
-        with pytest.raises(ValueError):
-            u[0] = 0.0
-
 class TestConvergence:
     def test_report_decreasing_deltas(self):
         with warnings.catch_warnings():
