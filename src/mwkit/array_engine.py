@@ -379,9 +379,11 @@ def _error_monte_carlo(excitation: ExcitationSet, model: ErrorModel,
                        mean_pattern_points: int | None) -> dict:
     amp = excitation.a
     k = len(amp)
+    if k < 2:
+        raise DomainError(f"the Monte Carlo null level needs K >= 2 elements, got {k}")
     x = np.arange(k) * dx_wl               # element positions in wavelengths
     # error-free nulls of the uniform broadside pattern: u = m / (K dx)
-    m = np.arange(1, min(k - 1, 8))
+    m = np.arange(1, min(k, 8))
     u_nulls = m / (k * dx_wl)
     phase_nulls = np.exp(2j * math.pi * np.multiply.outer(x, u_nulls))
     d2 = model.effective_phase_var()

@@ -341,7 +341,10 @@ def _parse_options(line: str, line_no: int) -> tuple:
         elif p == "R":
             if i + 1 >= len(parts):
                 raise ParseError("option 'R' needs a value", line_no)
-            zref = float(parts[i + 1])
+            try:
+                zref = float(parts[i + 1])
+            except ValueError:
+                raise ParseError("option 'R' needs a number", line_no) from None
             i += 1
         else:
             raise ParseError(f"unknown option token {p!r}", line_no)

@@ -16,7 +16,7 @@ from functools import singledispatch
 import numpy as np
 
 from .numerics import (C0, ETA0, KB, DomainError, QuadratureSpec, bessel_j,
-                       db10, integrate_adaptive)
+                       db10, integrate_adaptive, integrate_gk15)
 
 PATTERN_FLOOR_DB = -100.0
 
@@ -163,10 +163,8 @@ def _k0(freq: float) -> float:
 def _wire_pattern(k0l: float, cos_ang, sin_ang):
     """(cos(k0 l cos a) - cos(k0 l)) / sin a with the removable zero filled."""
     num = np.cos(k0l * cos_ang) - math.cos(k0l)
-    out = np.zeros_like(num)
     ok = np.abs(sin_ang) > 1e-9
-    out = np.where(ok, num / np.where(ok, sin_ang, 1.0), 0.0)
-    return out
+    return np.where(ok, num / np.where(ok, sin_ang, 1.0), 0.0)
 
 
 def _jratio(order: int, u):
@@ -279,15 +277,12 @@ def _(model: MicrostripCircular, theta, phi, freq) -> FarFieldSample:
     k_sub = k0 * math.sqrt(model.eps_r)
     w = k0 * model.radius_a * np.sin(theta)
 
-    def jn(order, x):
-        if order == -1:
-            return -bessel_j(1, x)
-        return bessel_j(order, x)
-
+    j_up = bessel_j(n + 1, w)
+    j_down = -bessel_j(1, w) if n == 0 else bessel_j(n - 1, w)   # J_-1 = -J_1
     amp = (1j**n) * model.height_h * model.radius_a * k0 * model.e0 * \
         bessel_j(n, k_sub * model.radius_a) / 2.0
-    e_theta = amp * np.cos(n * phi) * (jn(n + 1, w) - jn(n - 1, w))
-    e_phi = amp * np.cos(theta) * np.sin(n * phi) * (jn(n + 1, w) + jn(n - 1, w))
+    e_theta = amp * np.cos(n * phi) * (j_up - j_down)
+    e_phi = amp * np.cos(theta) * np.sin(n * phi) * (j_up + j_down)
     return FarFieldSample(e_theta=e_theta, e_phi=e_phi)
 
 
@@ -362,18 +357,24 @@ def pattern_metrics(theta_deg, f_db) -> dict:
 def _sphere_integral(model, freq: float, spec: QuadratureSpec | None,
                      n_phi: int = 64):
     """Integral of the power pattern over the (half-)sphere via a trapezoid in
-    phi and adaptive quadrature in theta."""
+    phi and adaptive quadrature in theta.
+
+    Each GK15 panel evaluates the pattern once on its 15 theta nodes against
+    all phi nodes; a phi-independent model's (15, 1) pattern is broadcast, so
+    every ring still averages n_phi values.
+    """
     upper_only = isinstance(model, GROUND_PLANE_MODELS)
     th_hi = math.pi / 2 if upper_only else math.pi
     phis = np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False)
 
-    def ring(theta: float) -> float:
-        p = power_pattern(model, np.full_like(phis, theta), phis, freq)
-        return float(np.mean(p)) * 2 * math.pi * math.sin(theta)
+    def rings(theta):
+        p = power_pattern(model, theta[:, None], phis, freq)
+        ring_mean = np.broadcast_to(p, (len(theta), n_phi)).mean(axis=1)
+        return ring_mean * 2 * math.pi * np.sin(theta)
 
     if spec is None:
         spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=4000)
-    val, _ = integrate_adaptive(ring, 0.0, th_hi, spec)
+    val, _ = integrate_gk15(rings, (0.0, th_hi), spec)
     return val
 
 
@@ -385,8 +386,7 @@ def directivity(model, freq: float, spec: QuadratureSpec | None = None) -> float
     upper_only = isinstance(model, GROUND_PLANE_MODELS)
     th = np.linspace(1e-9, (math.pi / 2 if upper_only else math.pi) - 1e-9, 2001)
     ph = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
-    tt, pp = np.meshgrid(th, ph, indexing="ij")
-    p = power_pattern(model, tt, pp, freq)
+    p = power_pattern(model, th[:, None], ph, freq)
     pmax = float(np.max(p))
     total = _sphere_integral(model, freq, spec)
     return 4 * math.pi * pmax / total

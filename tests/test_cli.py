@@ -156,6 +156,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: n_trials must be >= 0")
 
+    def test_two_element_monte_carlo_null_level_is_finite(self, capsys):
+        code, out, _ = run(capsys, "array", "errors", "--k", "2",
+                           "--phase-var-rad2", "0.01", "--trials", "2")
+        assert code == 0
+        assert math.isfinite(float(read_csv(out)[0]["mc_avg_null_sll_db"]))
+
+    def test_one_element_monte_carlo_is_a_domain_error(self, capsys):
+        code, out, err = run(capsys, "array", "errors", "--k", "1",
+                             "--phase-var-rad2", "0.01", "--trials", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: the Monte Carlo null level needs K >= 2")
+
     @pytest.mark.parametrize("argv", [
         ["amp", "gains", "--zs-ohm", "50", "--zl-ohm", "50"],
         ["amp", "stability"],

@@ -325,6 +325,11 @@ class TestTouchstone:
         with pytest.raises(net.ParseError):
             net.touchstone_read("# GHZ S QQ R 50\n1 0.5 45\n")
 
+    def test_non_numeric_reference_impedance_carries_line_number(self):
+        with pytest.raises(net.ParseError, match="option 'R' needs a number") as exc:
+            net.touchstone_read("! a comment\n# GHZ S RI R abc\n1 0.1 0\n")
+        assert exc.value.line_no == 2
+
     def test_wrong_token_count(self):
         with pytest.raises(net.ParseError):
             net.touchstone_read("# GHZ S RI R 50\n1 0.1 0 0.2 0 0.3 0 0.4 0\n2 0.1 0\n")

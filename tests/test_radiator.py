@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from mwkit import numerics
 from mwkit import radiator as rad
-from mwkit.numerics import C0, ETA0, DomainError
+from mwkit.numerics import C0, ETA0, DomainError, QuadratureSpec
 
 from conftest import mirrored_cut
 
@@ -181,6 +182,78 @@ class TestDirectivity:
         d_gp = rad.directivity(
             rad.WireOverGround(half_length_l=LAM / 4, height_h=0.25 * LAM), F0)
         assert d_gp > d_free
+
+
+def _per_node_sphere_integral(model, freq):
+    """The per-node formulation: one scalar ring callback per theta node
+    through integrate_adaptive, 64 phi copies of theta in each ring."""
+    upper_only = isinstance(model, rad.GROUND_PLANE_MODELS)
+    phis = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+
+    def ring(theta):
+        p = rad.power_pattern(model, np.full_like(phis, theta), phis, freq)
+        return float(np.mean(p)) * 2 * math.pi * math.sin(theta)
+
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-9, max_subdivisions=4000)
+    val, _ = numerics.integrate_adaptive(ring, 0.0, math.pi / 2 if upper_only else math.pi,
+                                         spec)
+    return val
+
+
+def _per_node_directivity(model, freq):
+    """P_max on the full 2001 x 64 meshgrid over the per-node sphere integral."""
+    upper_only = isinstance(model, rad.GROUND_PLANE_MODELS)
+    th = np.linspace(1e-9, (math.pi / 2 if upper_only else math.pi) - 1e-9, 2001)
+    ph = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    tt, pp = np.meshgrid(th, ph, indexing="ij")
+    pmax = float(np.max(rad.power_pattern(model, tt, pp, freq)))
+    return 4 * math.pi * pmax / _per_node_sphere_integral(model, freq)
+
+
+_PATCH_FREQ = 5e9
+_EVERY_MODEL = {
+    "electric-dipole": (rad.ElectricDipole(i0l=0.01), F0),
+    "magnetic-dipole": (rad.MagneticDipole(), F0),
+    "thin-wire": (rad.ThinWire(half_length_l=0.7 * LAM), F0),
+    "folded-dipole": (rad.FoldedDipole(), F0),
+    "loop": (rad.Loop(radius_a=1.3 * LAM), F0),
+    "wire-over-ground": (rad.WireOverGround(half_length_l=LAM / 4, height_h=0.3 * LAM), F0),
+    "rect-aperture": (rad.RectAperture(a=2.0 * LAM, b=1.5 * LAM), F0),
+    "circular-p0": (rad.CircularAperture(radius_a=1.2 * LAM, taper_p=0), F0),
+    "circular-p1": (rad.CircularAperture(radius_a=2.0 * LAM, taper_p=1), F0),
+    "circular-p2": (rad.CircularAperture(radius_a=1.5 * LAM, taper_p=2), F0),
+    "microstrip-11": (rad.MicrostripCircular(radius_a=0.02, eps_r=2.2, height_h=0.0016),
+                      _PATCH_FREQ),
+    "microstrip-02": (rad.MicrostripCircular(radius_a=0.02, eps_r=2.2, height_h=0.0016,
+                                             mode_n=0, mode_m=2), _PATCH_FREQ),
+}
+
+
+class TestBatchedSphereRule:
+    @pytest.mark.parametrize("name", _EVERY_MODEL)
+    def test_directivity_equals_the_per_node_formulation(self, name):
+        model, freq = _EVERY_MODEL[name]
+        assert rad.directivity(model, freq) == _per_node_directivity(model, freq)
+
+    def test_thin_wire_radiated_power_equals_the_per_node_formulation(self):
+        model = rad.ThinWire(half_length_l=LAM / 4)
+        r = rad.radiated_power_and_rr(model, 1.0, F0)
+        p_t = _per_node_sphere_integral(model, F0) / (2.0 * ETA0)
+        assert r["p_t"] == p_t
+        assert r["r_r"] == p_t / 0.5
+
+    def test_bessel_runs_on_theta_only(self, monkeypatch):
+        points = []
+        original = rad.bessel_j
+
+        def counted(order, x):
+            points.append(np.size(x))
+            return original(order, x)
+
+        monkeypatch.setattr(rad, "bessel_j", counted)
+        rad.directivity(rad.CircularAperture(radius_a=3.5 * LAM), F0)
+        # a 2001 x 64 P_max grid alone is 128 064 points
+        assert 0 < sum(points) < 10_000
 
 
 class TestRadiatedPower:
