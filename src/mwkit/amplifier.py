@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import PortTermination, two_port_gammas
-from .numerics import DomainError, db10
+from .numerics import DomainError, db10, from_db10
 
 
 class InfeasibleError(ValueError):
@@ -67,7 +67,7 @@ class NoiseSpec:
     @staticmethod
     def from_z_opt(nf_min_db: float, r_n: float, z_opt: complex,
                    z0: float = 50.0) -> "NoiseSpec":
-        return NoiseSpec(f_min=10 ** (nf_min_db / 10.0), r_n=r_n,
+        return NoiseSpec(f_min=from_db10(nf_min_db), r_n=r_n,
                          gamma_opt=(z_opt - z0) / (z_opt + z0))
 
 

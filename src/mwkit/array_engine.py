@@ -136,6 +136,22 @@ def steering_phases(layout: ArrayLayout, u0: float, v0: float, freq: float,
     return ExcitationSet(a=amp * np.exp(-1j * psi))
 
 
+def _grid_axes(layout: ArrayLayout):
+    """Axes (x, y) of a rect_grid layout whose positions are exactly the
+    product grid, element j = l K + k at (x_k, y_l); None otherwise."""
+    if layout.kind != "rect_grid" or layout.shape is None or len(layout.shape) != 2:
+        return None
+    k, l = layout.shape
+    pos = layout.positions
+    if k * l != len(pos):
+        return None
+    x, y = pos[:k, 0], pos[::k, 1]
+    if not (np.array_equal(pos[:, 0], np.tile(x, l)) and
+            np.array_equal(pos[:, 1], np.repeat(y, k))):
+        return None
+    return x, y
+
+
 def array_factor(layout: ArrayLayout, excitation: ExcitationSet, u, v, freq: float,
                  coupling: CouplingModel | None = None, scan_uv=(0.0, 0.0)):
     """Array factor S(u, v) = sum_k a_k exp(j k0 (x_k u + y_k v)).
@@ -153,9 +169,19 @@ def array_factor(layout: ArrayLayout, excitation: ExcitationSet, u, v, freq: flo
     if coupling is not None and coupling.s_matrix is not None:
         act = active_reflection(coupling, excitation, scan_uv=scan_uv)
         weights = a * np.sqrt(np.maximum(0.0, 1.0 - np.abs(act["r_act"]) ** 2))
-    phase = np.exp(1j * k0 * (np.multiply.outer(u, layout.positions[:, 0]) +
-                              np.multiply.outer(v, layout.positions[:, 1])))
-    s = phase @ weights
+    axes = _grid_axes(layout)
+    if axes is None:
+        phase = np.exp(1j * k0 * (np.multiply.outer(u, layout.positions[:, 0]) +
+                                  np.multiply.outer(v, layout.positions[:, 1])))
+        s = phase @ weights
+    else:
+        # product grid: S = sum_l e^{j k0 y_l v} sum_k a_kl e^{j k0 x_k u},
+        # P (K + L) exponentials instead of P K L
+        x, y = axes
+        u, v = np.broadcast_arrays(u, v)
+        ex = np.exp(1j * k0 * np.multiply.outer(u, x))
+        ey = np.exp(1j * k0 * np.multiply.outer(v, y))
+        s = np.sum((ex @ weights.reshape(len(y), len(x)).T) * ey, axis=-1)
     if coupling is not None and coupling.element_pattern is not None:
         s = s * coupling.element_pattern(u, v)
     return s if s.shape else complex(s)
@@ -219,6 +245,8 @@ def taper_generate(kind: str, count: int, *, m: int = 1, h: float = 0.0,
     if kind == "uniform":
         return np.ones(count)
     if kind == "cosine_pedestal":
+        if not dx > 0:
+            raise DomainError("cosine taper needs an element pitch dx > 0")
         xk = (np.arange(count) - (count - 1) / 2.0) * dx
         amp = h + (1.0 - h) * np.cos(math.pi * xk / ((count - 1) * dx)) ** m
         return amp / amp.max()

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import (amplifier, array_engine, matching, mom_wire, network, numerics,
                radiator, tline)
-from .numerics import C0, DomainError
+from .numerics import C0, DomainError, from_db10
 
 USAGE_ERROR = 2
 COMPUTE_ERROR = 1
@@ -461,7 +461,7 @@ def cmd_amp_gain_circles(args):
 def cmd_amp_noise_circle(args):
     spec = amplifier.NoiseSpec.from_z_opt(args.nfmin_db, args.rn_ohm,
                                           parse_complex(args.zopt_ohm), args.z0_ohm)
-    circ = amplifier.noise_circle(spec, 10 ** (args.nf_db / 10.0), args.z0_ohm)
+    circ = amplifier.noise_circle(spec, from_db10(args.nf_db), args.z0_ohm)
     _emit(args, [{"gamma_opt": spec.gamma_opt, "center": circ.center,
                   "radius": circ.radius}])
     return 0
@@ -479,7 +479,7 @@ def cmd_noise_cascade(args):
     stages = []
     for part in args.stages.split(","):
         gdb, nfdb = part.split(":")
-        stages.append((10 ** (float(gdb) / 10.0), 10 ** (float(nfdb) / 10.0)))
+        stages.append((from_db10(float(gdb)), from_db10(float(nfdb))))
     res = amplifier.noise_cascade(stages, t0=args.t0_k)
     _emit(args, [{"f_total": res["f_total"], "nf_total_db": res["nf_total_db"],
                   "t_e_total_k": res["t_e_total"]}])
@@ -627,8 +627,8 @@ def cmd_array_errors(args):
 
 
 def cmd_array_snr(args):
-    res = array_engine.array_snr(args.k, 10 ** (args.gav_db / 10),
-                                 10 ** (args.nf_db / 10), args.ta_k, args.t0_k,
+    res = array_engine.array_snr(args.k, from_db10(args.gav_db),
+                                 from_db10(args.nf_db), args.ta_k, args.t0_k,
                                  args.bandwidth_hz, args.sa_w)
     _emit(args, [{"snr": res["snr"], "snr_db": res["snr_db"]}])
     return 0
@@ -639,7 +639,7 @@ def cmd_link(args, mode):
                              freq=args.freq_hz, range_r=args.range_m,
                              sigma_rcs=args.rcs_m2, p_r_min=args.prmin_w,
                              bandwidth_b=args.bandwidth_hz,
-                             nf=10 ** (args.nf_db / 10), t0=args.t0_k)
+                             nf=from_db10(args.nf_db), t0=args.t0_k)
     res = radiator.link_budget(spec, mode)
     _emit(args, [{"p_r_w": res["p_r"], "p_r_dbm": res["p_r_dbm"],
                   "r_max_m": res["r_max"],

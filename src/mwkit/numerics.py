@@ -437,3 +437,17 @@ def spherical_basis(theta: float, phi: float):
 def db10(x):
     """Power ratio to dB."""
     return 10.0 * np.log10(x)
+
+
+def from_db10(x: float) -> float:
+    """dB to power ratio, 10^(x/10), for a scalar x.
+
+    Raises DomainError when x is NaN or the ratio overflows a float.
+    """
+    try:
+        r = 10.0 ** (x / 10.0)
+    except OverflowError:
+        r = math.inf
+    if not math.isfinite(r):
+        raise DomainError(f"{x} dB has no finite power ratio")
+    return r

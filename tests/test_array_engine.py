@@ -113,6 +113,110 @@ class TestSteeringAndArrayFactor:
         np.testing.assert_allclose(s1 / s1.max(), s3 / s3.max(), atol=1e-14)
 
 
+def full_phase_matrix_af(layout, weights, u, v, freq):
+    """S(u, v) as one (points x elements) phase matrix times the weights."""
+    k0 = 2 * math.pi * freq / C0
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    phase = np.exp(1j * k0 * (np.multiply.outer(u, layout.positions[:, 0]) +
+                              np.multiply.outer(v, layout.positions[:, 1])))
+    return phase @ weights
+
+
+def random_weights(rng, n):
+    return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+
+class TestSeparableGrid:
+    """rect_grid layouts take the separable sum; everything else the full matrix."""
+
+    def assert_close_to_peak(self, s, ref):
+        np.testing.assert_allclose(s, ref, rtol=0, atol=1e-13 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("k, l", [(8, 8), (16, 16), (7, 13), (13, 7), (1, 9), (9, 1)])
+    def test_matches_full_matrix(self, k, l):
+        rng = np.random.default_rng(k * 100 + l)
+        lay = ae.rect_grid_layout(k, l, 0.5, 0.7)
+        exc = ae.steering_phases(lay, 0.4, -0.3, F0,
+                                 amplitudes=rng.uniform(0.2, 1.0, k * l))
+        for a in (exc.a, exc.a * random_weights(rng, k * l)):
+            u = rng.uniform(-1.0, 1.0, 301)
+            v = rng.uniform(-1.0, 1.0, 301)
+            s = ae.array_factor(lay, ae.ExcitationSet(a=a), u, v, F0)
+            self.assert_close_to_peak(s, full_phase_matrix_af(lay, a, u, v, F0))
+
+    def test_scalar_point_returns_complex(self):
+        rng = np.random.default_rng(2)
+        lay = ae.rect_grid_layout(5, 3, 0.5, 0.5)
+        a = random_weights(rng, 15)
+        for u, v in rng.uniform(-1.0, 1.0, (10, 2)):
+            s = ae.array_factor(lay, ae.ExcitationSet(a=a), u, v, F0)
+            assert type(s) is complex
+            ref = complex(full_phase_matrix_af(lay, a, u, v, F0))
+            assert abs(s - ref) <= 1e-13 * np.abs(a).sum()
+
+    def test_broadcast_u_v_grid(self):
+        rng = np.random.default_rng(3)
+        lay = ae.rect_grid_layout(6, 4, 0.5, 0.6)
+        a = random_weights(rng, 24)
+        u = np.linspace(-1.0, 1.0, 41)[:, None]
+        v = np.linspace(-0.8, 0.8, 23)[None, :]
+        s = ae.array_factor(lay, ae.ExcitationSet(a=a), u, v, F0)
+        assert s.shape == (41, 23)
+        self.assert_close_to_peak(s, full_phase_matrix_af(lay, a, u, v, F0))
+
+    def test_coupling_model(self):
+        rng = np.random.default_rng(4)
+        k, l = 4, 3
+        lay = ae.rect_grid_layout(k, l, 0.5, 0.5)
+        s_mat = 0.1 * random_weights(rng, k * l * k * l).reshape(k * l, k * l)
+        cm = ae.CouplingModel(s_matrix=s_mat + s_mat.T,
+                              element_pattern=lambda u, v: np.sqrt(1.0 - u * u - v * v))
+        exc = ae.steering_phases(lay, 0.3, 0.2, F0)
+        r_act = ae.active_reflection(cm, exc, scan_uv=(0.3, 0.2))["r_act"]
+        w = exc.a * np.sqrt(np.maximum(0.0, 1.0 - np.abs(r_act) ** 2))
+        u = rng.uniform(-0.6, 0.6, 101)
+        v = rng.uniform(-0.6, 0.6, 101)
+        s = ae.array_factor(lay, exc, u, v, F0, coupling=cm, scan_uv=(0.3, 0.2))
+        ref = full_phase_matrix_af(lay, w, u, v, F0) * np.sqrt(1.0 - u * u - v * v)
+        self.assert_close_to_peak(s, ref)
+
+    @pytest.mark.parametrize("case", ["jittered", "transposed-shape", "linear", "custom"])
+    def test_other_layouts_use_the_full_matrix(self, case):
+        rng = np.random.default_rng(5)
+        grid = ae.rect_grid_layout(4, 3, 0.5, 0.5)
+        if case == "jittered":
+            pos = grid.positions + rng.normal(scale=0.01, size=grid.positions.shape)
+            lay = ae.ArrayLayout(positions=pos, kind="rect_grid", dx=0.5, dy=0.5,
+                                 shape=(4, 3))
+        elif case == "transposed-shape":
+            lay = ae.ArrayLayout(positions=grid.positions, kind="rect_grid",
+                                 dx=0.5, dy=0.5, shape=(3, 4))
+        elif case == "linear":
+            lay = ae.linear_layout(12, 0.5)
+        else:
+            lay = ae.ArrayLayout(positions=rng.uniform(0.0, 3.0, (12, 2)))
+        a = random_weights(rng, 12)
+        u = rng.uniform(-1.0, 1.0, 201)
+        v = rng.uniform(-1.0, 1.0, 201)
+        s = ae.array_factor(lay, ae.ExcitationSet(a=a), u, v, F0)
+        np.testing.assert_array_equal(s, full_phase_matrix_af(lay, a, u, v, F0))
+
+    def test_memory_is_linear_in_points_plus_axes(self):
+        # the full phase matrix of this call peaks at 262 MB
+        lay = ae.rect_grid_layout(64, 64, 0.5, 0.5)
+        exc = ae.ExcitationSet(a=np.ones(64 * 64))
+        u = np.linspace(-1.0, 1.0, 2001)
+        v = np.zeros_like(u)
+        tracemalloc.start()
+        try:
+            ae.array_factor(lay, exc, u, v, F0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+
 class TestPatternGrid:
     def test_fft_matches_direct(self):
         lay = ae.linear_layout(8, 0.5)
@@ -180,6 +284,11 @@ class TestTapers:
     def test_infeasible_sll(self):
         with pytest.raises(ae.InfeasibleError):
             ae.taper_generate("chebyshev", 16, sll_db=10.0)
+
+    @pytest.mark.parametrize("dx", [0.0, -0.5, math.nan])
+    def test_cosine_taper_needs_positive_pitch(self, dx):
+        with pytest.raises(DomainError):
+            ae.taper_generate("cosine_pedestal", 3, h=0.0, dx=dx)
 
 
 class TestSchelkunov:

@@ -170,6 +170,29 @@ class TestExitCodes:
         assert err.startswith("error: the Monte Carlo null level needs K >= 2")
 
     @pytest.mark.parametrize("argv", [
+        ["array", "snr", "--gav-db", "1e9", "--k", "4"],
+        ["array", "snr", "--gav-db", "10", "--nf-db", "1e9", "--k", "4"],
+        ["link", "radio", "--nf-db", "1e300", "--pt-w", "1", "--freq-hz", "1e9"],
+        ["amp", "noise-circle", "--nfmin-db", "1e300", "--rn-ohm", "10",
+         "--zopt-ohm", "50,0", "--nf-db", "2"],
+        ["noise", "cascade", "--stages", "10:1e400"],
+    ], ids=["snr-gain", "snr-nf", "link-nf", "noise-circle-nfmin", "cascade-nf"])
+    def test_db_overflow_is_a_domain_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "dB has no finite power ratio" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("dx", ["0", "nan"])
+    def test_cosine_taper_without_pitch_is_a_domain_error(self, capsys, dx):
+        code, out, err = run(capsys, "array", "taper", "--k", "3", "--dx-wl", dx,
+                             "--taper", "cosine", "--pedestal", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cosine taper needs an element pitch dx > 0")
+
+    @pytest.mark.parametrize("argv", [
         ["amp", "gains", "--zs-ohm", "50", "--zl-ohm", "50"],
         ["amp", "stability"],
         ["amp", "gain-circles", "--side", "source", "--gains-db", "1"],

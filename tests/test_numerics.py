@@ -134,6 +134,20 @@ class TestQuadrature:
             nm.integrate_adaptive(lambda t: 1.0, 0.0, math.nan)
 
 
+class TestFromDb10:
+    def test_same_bits_as_the_power_expression(self):
+        for x in (-300.0, -3.0, 0.0, 0.1, 3.0, 10.0, 2.5e3, 3000):
+            assert nm.from_db10(x) == 10 ** (x / 10)
+
+    @pytest.mark.parametrize("x", [1e9, 1e300, math.inf, math.nan])
+    def test_non_finite_ratio_is_a_domain_error(self, x):
+        with pytest.raises(nm.DomainError):
+            nm.from_db10(x)
+
+    def test_large_negative_underflows_to_zero(self):
+        assert nm.from_db10(-1e9) == 0.0
+
+
 class TestBatchedQuadrature:
     def test_vector_matches_scalar_components(self):
         freqs = np.array([1.0, 3.0, 7.0])
